@@ -5,7 +5,8 @@
  * Unlike the fig and tab binaries (which report *virtual-clock*
  * latencies), this harness measures how fast the simulator executes on the real
  * machine: boots per wall-second for cold / warm / sfork sweeps and raw
- * page-touch throughput on the memory substrate. It exists to keep the
+ * page-touch throughput on the memory substrate, plus host time per
+ * separated func-image build + first decode. It exists to keep the
  * extent-based memory hot paths honest — the paper's scalability regime
  * (Fig. 15, 1000+ concurrent instances) is exactly where per-page
  * fault handling makes the simulator the bottleneck.
@@ -14,7 +15,8 @@
  *   PERF_FORK_BOOTS        sfork sweep size        (default 1000)
  *   PERF_WARM_BOOTS        warm-boot sweep size    (default 200)
  *   PERF_COLD_BOOTS        cold-boot sweep size    (default 50)
- *   PERF_TOUCH_PAGES       touch-micro extent      (default 262144 = 1 GiB)
+ *   PERF_TOUCH_PAGES       touch-micro extent      (default 262144 = 1 GiB;
+ *                          every other page is touched)
  *   PERF_MIN_FORK_BOOTS_PER_SEC
  *                          gate: exit non-zero when the sfork sweep is
  *                          slower (default 0 = no gate; CI sets a
@@ -40,8 +42,10 @@
 
 #include "bench_util.h"
 #include "catalyzer/runtime.h"
+#include "objgraph/separated_image.h"
 #include "platform/platform.h"
 #include "sim/executor.h"
+#include "sim/logging.h"
 #include "sim/table.h"
 
 using namespace catalyzer;
@@ -49,6 +53,9 @@ using namespace catalyzer;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** SPECjbb-sized images built and decoded by the objgraph micro. */
+constexpr long kImageMicroBuilds = 20;
 
 double
 secondsSince(Clock::time_point start)
@@ -159,9 +166,11 @@ coldSweep(long boots)
 }
 
 /**
- * Raw memory-substrate micro: bulk anonymous faults, a full COW fork,
- * child re-touch (all COW copies), then unmap — the four range
- * operations every boot path is built from.
+ * Raw memory-substrate micro: anonymous faults, a full COW fork, child
+ * re-touch (all COW copies), then unmap — the four range operations
+ * every boot path is built from. Touches are single pages at a stride
+ * of two so that neither the faults nor the resulting PTE extents
+ * coalesce: every page is one fault, one extent and one COW copy.
  */
 void
 touchMicro(long npages)
@@ -175,16 +184,49 @@ touchMicro(long npages)
         mem::AddressSpace parent(ctx, store, "perf-parent");
         const mem::PageIndex va = parent.mapAnon(
             static_cast<std::size_t>(npages), true, "heap");
-        touched += static_cast<long>(parent.touchRange(
-            va, static_cast<std::size_t>(npages), /*write=*/true));
+        for (long p = 0; p < npages; p += 2)
+            touched += static_cast<long>(parent.touchRange(
+                va + static_cast<mem::PageIndex>(p), 1, /*write=*/true));
         auto child = parent.forkCow("perf-child");
-        touched += static_cast<long>(child->touchRange(
-            va, static_cast<std::size_t>(npages), /*write=*/true));
+        for (long p = 0; p < npages; p += 2)
+            touched += static_cast<long>(child->touchRange(
+                va + static_cast<mem::PageIndex>(p), 1, /*write=*/true));
         child->unmap(va);
         parent.unmap(va);
     }
     results.push_back(
         {"touch+fork+cow+unmap", touched, secondsSince(start), "pages"});
+}
+
+/**
+ * Func-image metadata micro: the offline separated-state build of a
+ * SPECjbb-sized kernel object graph (37,838 objects, paper Sec. 2.2)
+ * plus the first, uncached reconstruct() decode of each fresh image —
+ * the work every cold image build pays on the host.
+ */
+void
+imageMicro(long images)
+{
+    sim::Rng rng(42);
+    const objgraph::ObjectGraph graph = objgraph::ObjectGraph::synthesize(
+        rng, objgraph::GraphSpec::scaledTo(37838));
+
+    const auto start = Clock::now();
+    std::size_t decoded = 0;
+    for (long i = 0; i < images; ++i) {
+        const objgraph::SeparatedImage image =
+            objgraph::SeparatedImage::build(graph);
+        decoded += image.reconstruct().objectCount();
+    }
+    const double wall = secondsSince(start);
+    if (decoded != graph.objectCount() * static_cast<std::size_t>(images))
+        sim::fatal("imageMicro: decode lost objects");
+    results.push_back({"separated image build + first reconstruct",
+                       images, wall, "images"});
+    std::printf("separated image build + first reconstruct: %.1f us/image "
+                "(%zu objects)\n",
+                wall * 1e6 / static_cast<double>(images),
+                graph.objectCount());
 }
 
 /**
@@ -252,6 +294,7 @@ main()
     warmSweep(warm_boots);
     coldSweep(cold_boots);
     touchMicro(touch_pages);
+    imageMicro(kImageMicroBuilds);
     const double serial_wall =
         fleetSweep(fleet_boots, fleet_machines, 1);
     const double parallel_wall =

@@ -29,7 +29,9 @@ constexpr trace::TraceId kFleetTraceIdBase = 1ull << 48;
  * Priming invocations are pinned too (machine-major, function-minor),
  * or the process-global lazy allocator would hand a second run in the
  * same process different ids than the first and the exported traces of
- * otherwise identical runs would not compare equal.
+ * otherwise identical runs would not compare equal. Machine m's k-th
+ * priming invoke traces under base + m * (population + workflow
+ * functions) + k.
  */
 constexpr trace::TraceId kFleetPrimeTraceIdBase = 1ull << 47;
 
@@ -116,9 +118,24 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
                      wf_fns.end());
     }
 
+    const int threads = config.simThreads > 0
+                            ? config.simThreads
+                            : sim::ParallelExecutor::threadsFromEnv(1);
+    const sim::ParallelExecutor exec(threads);
+    // A workflow stage may land on any machine and moves state regions
+    // across the fabric mid-request, so a workflow tape is coupled no
+    // matter what the fabric config says.
+    const bool share_nothing = cluster_.shareNothing() && !has_workflows;
+
     if (config.primeImages) {
-        trace::TraceId prime_id = kFleetPrimeTraceIdBase;
-        for (std::size_t m = 0; m < machines; ++m) {
+        // Machine m's priming invokes trace under the ids a serial
+        // machine-major loop would hand out, so the pinned sequence is
+        // the same whether or not the machines prime concurrently.
+        const std::size_t per_machine = population_.size() + wf_fns.size();
+        auto primeMachine = [&](std::size_t m) {
+            trace::TraceId prime_id =
+                kFleetPrimeTraceIdBase +
+                static_cast<trace::TraceId>(m * per_machine);
             platform::ServerlessPlatform &plat = cluster_.platform(m);
             sandbox::Machine &mach = cluster_.machine(m);
             for (std::size_t i = 0; i < population_.size(); ++i)
@@ -133,6 +150,15 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
             // Drop the priming instances: the run starts with built
             // images but zero warm capacity under either policy.
             plat.expireIdle(sim::SimTime::milliseconds(0.001));
+        };
+        // Priming only touches the primed machine, so a share-nothing
+        // fleet (where image builds consult no shared directory) primes
+        // its machines concurrently; coupled fleets go in index order.
+        if (share_nothing) {
+            exec.forEach(machines, primeMachine);
+        } else {
+            for (std::size_t m = 0; m < machines; ++m)
+                primeMachine(m);
         }
     }
 
@@ -192,15 +218,6 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     // never run on worker threads, and serving only touches the routed
     // machine, so the report is byte-identical for any thread count.
     //
-    const int threads = config.simThreads > 0
-                            ? config.simThreads
-                            : sim::ParallelExecutor::threadsFromEnv(1);
-    const sim::ParallelExecutor exec(threads);
-    // A workflow stage may land on any machine and moves state regions
-    // across the fabric mid-request, so a workflow tape is coupled no
-    // matter what the fabric config says.
-    const bool share_nothing = cluster_.shareNothing() && !has_workflows;
-
     workflow::WorkflowEngine engine(
         cluster_, workflow::WorkflowOptions{config.workflowLocalityAware});
 

@@ -81,6 +81,29 @@ ObjectGraph::addObject(ObjectKind kind, std::uint32_t payload_bytes,
     return id;
 }
 
+ObjectGraph
+ObjectGraph::fromObjects(std::vector<MetaObject> objects)
+{
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+        const MetaObject &obj = objects[i];
+        if (obj.id != i + 1)
+            sim::panic("ObjectGraph::fromObjects: non-dense id %llu at "
+                       "index %zu",
+                       static_cast<unsigned long long>(obj.id), i);
+        for (std::uint64_t ref : obj.refs) {
+            if (ref >= obj.id)
+                sim::panic("ObjectGraph::fromObjects: forward/self ref "
+                           "%llu",
+                           static_cast<unsigned long long>(ref));
+        }
+    }
+    ObjectGraph graph;
+    if (!objects.empty())
+        graph.objects_ =
+            std::make_shared<std::vector<MetaObject>>(std::move(objects));
+    return graph;
+}
+
 const MetaObject &
 ObjectGraph::object(std::uint64_t id) const
 {
@@ -157,6 +180,8 @@ ObjectGraph
 ObjectGraph::synthesize(sim::Rng &rng, const GraphSpec &spec)
 {
     ObjectGraph graph;
+    graph.detach();
+    graph.objects_->reserve(spec.totalObjects());
     struct Batch
     {
         ObjectKind kind;
@@ -182,6 +207,7 @@ ObjectGraph::synthesize(sim::Rng &rng, const GraphSpec &spec)
                 const auto nrefs = static_cast<std::size_t>(
                     1 + rng.uniformInt(static_cast<std::uint64_t>(
                             std::max(1.0, spec.meanRefsPerObject * 2 - 1))));
+                refs.reserve(nrefs);
                 for (std::size_t r = 0; r < nrefs; ++r)
                     refs.push_back(1 + rng.uniformInt(next_id - 1));
             }

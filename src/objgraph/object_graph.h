@@ -97,6 +97,13 @@ class ObjectGraph
     std::uint64_t addObject(ObjectKind kind, std::uint32_t payload_bytes,
                             std::vector<std::uint64_t> refs);
 
+    /**
+     * Adopt a whole id-ordered object vector at once. Enforces what
+     * addObject() would: object i carries id i+1, and every ref names
+     * an earlier object or is 0.
+     */
+    static ObjectGraph fromObjects(std::vector<MetaObject> objects);
+
     const MetaObject &object(std::uint64_t id) const;
     MetaObject &mutableObject(std::uint64_t id);
 

@@ -5,6 +5,8 @@
  * separated state recovery.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "objgraph/object_graph.h"
@@ -187,6 +189,112 @@ TEST(SeparatedImageTest, ByteCorruptionIsDetected)
     // Flip a payload byte (headers start each object; payload follows).
     image.corruptByteForTesting(SeparatedImage::kObjectHeaderBytes + 1);
     EXPECT_DEATH(image.reconstruct(), "corruption");
+}
+
+/** Flip one byte of the first object's header (the arena starts there). */
+void
+reconstructWithHeaderFlip(std::uint64_t offset)
+{
+    sim::Rng rng(5);
+    const ObjectGraph graph =
+        ObjectGraph::synthesize(rng, GraphSpec::scaledTo(200));
+    SeparatedImage image = SeparatedImage::build(graph);
+    image.corruptByteForTesting(offset);
+    image.reconstruct();
+}
+
+TEST(SeparatedImageTest, HeaderCorruptionIsDetected)
+{
+    // Header layout: id u64 at 0, kind u8 at 8, slots u16 at 9,
+    // payload u32 at 12.
+    EXPECT_DEATH(reconstructWithHeaderFlip(1), "corruption");
+    EXPECT_DEATH(reconstructWithHeaderFlip(8), "corruption");
+    EXPECT_DEATH(reconstructWithHeaderFlip(9), "corruption");
+    EXPECT_DEATH(reconstructWithHeaderFlip(12), "corruption");
+}
+
+TEST(ObjectGraphTest, FromObjectsEnforcesAddObjectRules)
+{
+    std::vector<MetaObject> dense = {
+        MetaObject{1, ObjectKind::Task, 32, {}},
+        MetaObject{2, ObjectKind::Mount, 16, {1, 0}}};
+    ObjectGraph built;
+    built.addObject(ObjectKind::Task, 32, {});
+    built.addObject(ObjectKind::Mount, 16, {1, 0});
+    EXPECT_TRUE(ObjectGraph::fromObjects(dense) == built);
+
+    std::vector<MetaObject> gap = dense;
+    gap[1].id = 3;
+    EXPECT_DEATH(ObjectGraph::fromObjects(gap), "non-dense id");
+    std::vector<MetaObject> self_ref = dense;
+    self_ref[1].refs = {2};
+    EXPECT_DEATH(ObjectGraph::fromObjects(self_ref), "forward/self ref");
+}
+
+/** FNV-1a over @p n bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const std::uint8_t *data, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= data[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+std::uint64_t
+fnv1aU64(std::uint64_t h, std::uint64_t v)
+{
+    std::uint8_t le[8];
+    for (int i = 0; i < 8; ++i)
+        le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return fnv1a(h, le, sizeof le);
+}
+
+/** Hash of everything build() lays out: arena, relocs and page sets. */
+std::uint64_t
+layoutDigest(const SeparatedImage &image)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    h = fnv1a(h, image.arena().data(), image.arena().size());
+    for (const Reloc &reloc : image.relocs()) {
+        h = fnv1aU64(h, reloc.slotOffset);
+        h = fnv1aU64(h, reloc.targetOffset);
+    }
+    for (std::uint64_t page : image.pointerPageList())
+        h = fnv1aU64(h, page);
+    h = fnv1aU64(h, image.arenaPages());
+    return fnv1aU64(h, image.relocTableBytes());
+}
+
+/**
+ * Golden layouts: the digests were recorded from the original
+ * map-and-sort implementation of build(), so any change to the arena
+ * bytes, the relation table or the dirtied page set shows up here.
+ */
+TEST(SeparatedImageTest, LayoutMatchesGolden)
+{
+    struct Golden
+    {
+        std::uint64_t seed;
+        GraphSpec spec;
+        std::uint64_t digest;
+    };
+    const Golden cases[] = {
+        {1, GraphSpec{}, 0x049b6d8ba67544d1ull},
+        {7, GraphSpec::scaledTo(2000), 0x0eb7d757254c51b2ull},
+        {42, GraphSpec::scaledTo(50), 0xb58421ca7c063165ull},
+        {2001, GraphSpec::scaledTo(37838), 0xed9fa2231d3253eaull},
+    };
+    for (const Golden &c : cases) {
+        sim::Rng rng(c.seed);
+        const ObjectGraph graph = ObjectGraph::synthesize(rng, c.spec);
+        const SeparatedImage image = SeparatedImage::build(graph);
+        EXPECT_EQ(layoutDigest(image), c.digest)
+            << "seed " << c.seed << ", " << graph.objectCount()
+            << " objects";
+        EXPECT_TRUE(image.reconstruct() == graph);
+    }
 }
 
 TEST(ObjectKindTest, NamesAreStable)
