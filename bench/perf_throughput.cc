@@ -49,6 +49,8 @@
 #include "sim/table.h"
 
 using namespace catalyzer;
+using bench::envDouble;
+using bench::envLong;
 
 namespace {
 
@@ -61,20 +63,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-long
-envLong(const char *name, long fallback)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atol(v) : fallback;
-}
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
 }
 
 std::string

@@ -19,6 +19,20 @@ using sandbox::BootResult;
 using sandbox::FunctionArtifacts;
 using sandbox::SandboxInstance;
 
+namespace {
+
+/** Image pages per batched SSD read when prefetching a working set. */
+constexpr std::size_t kPrefetchBatchPages = 64;
+/** Share of the traces a page must appear in to join the stable set. */
+constexpr double kWorkingSetMinFraction = 0.5;
+/** Pages per remote pull request on the remote-sfork demand path. */
+constexpr std::size_t kRemotePullBatchPages = 32;
+/** Fraction of each hello-app's modules preloaded by the language
+ *  runtime template. */
+constexpr double kLanguageTemplateCoreFraction = 0.8;
+
+} // namespace
+
 CatalyzerRuntime::CatalyzerRuntime(sandbox::Machine &machine,
                                    CatalyzerOptions options)
     : machine_(machine), options_(options),
@@ -29,7 +43,7 @@ CatalyzerRuntime::CatalyzerRuntime(sandbox::Machine &machine,
     zygotes_.setFaultInjector(&injector_);
     images_.setFaultInjector(&injector_);
     images_.configureChunks(options_.chunkedImages);
-    if (options_.useZygote && options_.zygotePrewarm > 0)
+    if (options_.zygotePrewarm > 0)
         zygotes_.prewarm(options_.zygotePrewarm);
 }
 
@@ -177,7 +191,7 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
     if (!fn.workingSet && options_.recordWorkingSet) {
         fn.workingSet = std::make_shared<prefetch::WorkingSetManifest>(
             fn.app().name, image.generation(), options_.workingSetTraces,
-            options_.workingSetMinFraction);
+            kWorkingSetMinFraction);
     }
 
     if (fn.workingSet && fn.workingSet->dirty()) {
@@ -218,7 +232,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
     // kvcalloc cache on), matching the paper's Catalyzer-restore.
     //
     std::unique_ptr<SandboxInstance> inst;
-    if (warm && options_.useZygote) {
+    if (warm) {
         {
             trace::ScopedSpan span(tctx, "sandbox-acquire");
             span.attr("mechanism", "zygote");
@@ -235,9 +249,8 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
             trace::ScopedSpan span(tctx, "sandbox-acquire");
             span.attr("mechanism", "construct");
             ctx.charge(costs.parseConfig);
-            inst = sandbox::makeBareInstance(
-                fn, warm ? BootKind::WarmRestore : BootKind::ColdRestore,
-                tag.c_str());
+            inst = sandbox::makeBareInstance(fn, BootKind::ColdRestore,
+                                             tag.c_str());
             sandbox::constructGVisorSandbox(*inst, ZygotePool::kvmConfig(),
                                             span.context());
         }
@@ -318,7 +331,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
             span.attr("traces",
                       static_cast<std::int64_t>(manifest->traceCount()));
             prefetch::prefetchIntoBase(ctx, *fn.sharedBase, stable,
-                                       options_.prefetchBatchPages,
+                                       kPrefetchBatchPages,
                                        span.context());
             prefetched_set = std::move(stable);
         } else {
@@ -647,36 +660,21 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     watch.restart();
 
     //
-    // Sandbox acquisition: the borrowed state lands in a local sandbox —
-    // a specialized Zygote when available, else one built on the path.
+    // Sandbox acquisition: the borrowed state lands in a specialized
+    // local Zygote.
     //
     std::unique_ptr<SandboxInstance> inst;
-    if (options_.useZygote) {
-        {
-            trace::ScopedSpan span(tctx, "sandbox-acquire");
-            span.attr("mechanism", "zygote");
-            Zygote z = zygotes_.acquire(span.context());
-            inst = std::make_unique<SandboxInstance>(
-                machine_, fn, app.name + "-" + tag, *z.proc,
-                BootKind::ForkBoot);
-            inst->setGuest(std::move(z.guest));
-        }
-        result.report.addSandboxStage("zygote-acquire", watch.elapsed(),
-                                      /*emit_span=*/false);
-    } else {
-        {
-            trace::ScopedSpan span(tctx, "sandbox-acquire");
-            span.attr("mechanism", "construct");
-            ctx.charge(costs.parseConfig);
-            inst = sandbox::makeBareInstance(fn, BootKind::ForkBoot,
-                                             tag.c_str());
-            sandbox::constructGVisorSandbox(*inst, ZygotePool::kvmConfig(),
-                                            span.context());
-        }
-        result.report.addSandboxStage("construct-sandbox",
-                                      watch.elapsed(),
-                                      /*emit_span=*/false);
+    {
+        trace::ScopedSpan span(tctx, "sandbox-acquire");
+        span.attr("mechanism", "zygote");
+        Zygote z = zygotes_.acquire(span.context());
+        inst = std::make_unique<SandboxInstance>(
+            machine_, fn, app.name + "-" + tag, *z.proc,
+            BootKind::ForkBoot);
+        inst->setGuest(std::move(z.guest));
     }
+    result.report.addSandboxStage("zygote-acquire", watch.elapsed(),
+                                  /*emit_span=*/false);
     watch.restart();
 
     //
@@ -846,7 +844,7 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     lend_span.finish();
     inst->setLifetimePager(std::make_unique<net::RemotePager>(
         ctx, *src.fabric, src.self, src.peer, base_va,
-        image->totalPages(), &injector_, options_.remotePullBatchPages,
+        image->totalPages(), &injector_, kRemotePullBatchPages,
         tctx, peer_ctx));
 
     inst->setMemoryLayout(binary_va, heap_va, heap_pages,
@@ -895,7 +893,7 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     const apps::AppProfile &base =
         tmpl.artifacts().app(); // the language's hello app
     const auto core = static_cast<std::size_t>(
-        options_.languageTemplateCoreFraction *
+        kLanguageTemplateCoreFraction *
         static_cast<double>(base.modulesLoaded));
     const std::size_t extra_modules =
         app.modulesLoaded > core ? app.modulesLoaded - core : 0;

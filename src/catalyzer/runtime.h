@@ -56,10 +56,10 @@ struct RemoteForkSource
 };
 
 /** Feature switches; the defaults are full Catalyzer. Turning individual
- *  techniques off reproduces the ablation rows of Fig. 12. */
+ *  techniques off reproduces the ablation rows of Fig. 12. Warm and
+ *  remote-sfork boots always specialize a Zygote. */
 struct CatalyzerOptions
 {
-    bool useZygote = true;          ///< Zygote pool for warm boots
     bool overlayMemory = true;      ///< direct-map + COW vs eager load
     bool separatedState = true;     ///< relation table vs per-object decode
     bool lazyIoReconnection = true; ///< on-demand vs eager reconnect
@@ -88,21 +88,13 @@ struct CatalyzerOptions
      * restore-to-first-response window into a per-function manifest
      * (observation only: no boot-path latency). prefetchWorkingSet
      * eagerly populates the manifest's stable set into the Base-EPT in
-     * batched reads of prefetchBatchPages pages before the first
-     * request, falling back to demand paging when the manifest is
-     * missing or stale. workingSetTraces (K) and workingSetMinFraction
-     * control how traces merge into the stable set.
+     * batched reads before the first request, falling back to demand
+     * paging when the manifest is missing or stale. workingSetTraces
+     * (K) controls how many traces merge into the stable set.
      */
     bool recordWorkingSet = true;
     bool prefetchWorkingSet = false;
-    std::size_t prefetchBatchPages = 64;
     std::size_t workingSetTraces = 3;
-    double workingSetMinFraction = 0.5;
-    /** Pages per remote pull request on the remote-sfork demand path. */
-    std::size_t remotePullBatchPages = 32;
-    /** Fraction of each hello-app's modules preloaded by the language
-     *  runtime template. */
-    double languageTemplateCoreFraction = 0.8;
     std::size_t zygotePrewarm = 4;
     /**
      * Fault injection (src/faults/): per-site failure probabilities or

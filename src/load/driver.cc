@@ -1,11 +1,9 @@
 #include "load/driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <ostream>
 
-#include "sim/event_queue.h"
 #include "sim/executor.h"
 #include "sim/json.h"
 #include "sim/logging.h"
@@ -127,39 +125,44 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     // matter what the fabric config says.
     const bool share_nothing = cluster_.shareNothing() && !has_workflows;
 
-    if (config.primeImages) {
-        // Machine m's priming invokes trace under the ids a serial
-        // machine-major loop would hand out, so the pinned sequence is
-        // the same whether or not the machines prime concurrently.
-        const std::size_t per_machine = population_.size() + wf_fns.size();
-        auto primeMachine = [&](std::size_t m) {
-            trace::TraceId prime_id =
-                kFleetPrimeTraceIdBase +
-                static_cast<trace::TraceId>(m * per_machine);
-            platform::ServerlessPlatform &plat = cluster_.platform(m);
-            sandbox::Machine &mach = cluster_.machine(m);
-            for (std::size_t i = 0; i < population_.size(); ++i)
-                plat.invoke(population_.fn(i).name,
-                            trace::TraceContext(mach.tracer(),
+    // Before the measured window, run one throwaway invocation of
+    // every function on every machine and then drop all instances.
+    // First contact with a function otherwise pays one-time
+    // initialization on the request path (checkpointing the separated
+    // image, priming the shared base) that a long-running fleet paid
+    // days ago; unprimed, that tax swamps every scenario with
+    // synthetic overload. Machine m's priming invokes trace under the
+    // ids a serial machine-major loop would hand out, so the pinned
+    // sequence is the same whether or not the machines prime
+    // concurrently.
+    const std::size_t per_machine = population_.size() + wf_fns.size();
+    auto primeMachine = [&](std::size_t m) {
+        trace::TraceId prime_id =
+            kFleetPrimeTraceIdBase +
+            static_cast<trace::TraceId>(m * per_machine);
+        platform::ServerlessPlatform &plat = cluster_.platform(m);
+        sandbox::Machine &mach = cluster_.machine(m);
+        for (std::size_t i = 0; i < population_.size(); ++i)
+            plat.invoke(population_.fn(i).name,
+                        trace::TraceContext(mach.tracer(),
+                                            mach.ctx().clock(), 0,
+                                            prime_id++));
+        for (const std::string &fn : wf_fns)
+            plat.invoke(fn, trace::TraceContext(mach.tracer(),
                                                 mach.ctx().clock(), 0,
                                                 prime_id++));
-            for (const std::string &fn : wf_fns)
-                plat.invoke(fn, trace::TraceContext(mach.tracer(),
-                                                    mach.ctx().clock(), 0,
-                                                    prime_id++));
-            // Drop the priming instances: the run starts with built
-            // images but zero warm capacity under either policy.
-            plat.expireIdle(sim::SimTime::milliseconds(0.001));
-        };
-        // Priming only touches the primed machine, so a share-nothing
-        // fleet (where image builds consult no shared directory) primes
-        // its machines concurrently; coupled fleets go in index order.
-        if (share_nothing) {
-            exec.forEach(machines, primeMachine);
-        } else {
-            for (std::size_t m = 0; m < machines; ++m)
-                primeMachine(m);
-        }
+        // Drop the priming instances: the run starts with built
+        // images but zero warm capacity under either policy.
+        plat.expireIdle(sim::SimTime::milliseconds(0.001));
+    };
+    // Priming only touches the primed machine, so a share-nothing
+    // fleet (where image builds consult no shared directory) primes
+    // its machines concurrently; coupled fleets go in index order.
+    if (share_nothing) {
+        exec.forEach(machines, primeMachine);
+    } else {
+        for (std::size_t m = 0; m < machines; ++m)
+            primeMachine(m);
     }
 
     std::vector<sim::SimTime> start(machines);
@@ -208,15 +211,16 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     double next_tick = tick;
 
     //
-    // Discrete-event replay. The policy tick is the epoch barrier: the
+    // Epoch replay. The policy tick is the epoch barrier: the
     // autoscaler already requires every machine at the boundary before
     // it looks at the fleet, so arrivals between consecutive ticks form
     // an epoch that is (a) routed up front in stream order against
-    // projected loads, (b) served by draining per-machine event queues
-    // — concurrently on a share-nothing fleet — and (c) folded into the
-    // report and the autoscaler in stream order. Routing and folding
-    // never run on worker threads, and serving only touches the routed
-    // machine, so the report is byte-identical for any thread count.
+    // projected loads into per-machine buckets, (b) served bucket by
+    // bucket — concurrently on a share-nothing fleet — and (c) folded
+    // into the report and the autoscaler in stream order. Routing and
+    // folding never run on worker threads, and serving only touches
+    // the routed machine, so the report is byte-identical for any
+    // thread count.
     //
     workflow::WorkflowEngine engine(
         cluster_, workflow::WorkflowOptions{config.workflowLocalityAware});
@@ -233,17 +237,13 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     };
     std::vector<Outcome> outcomes(stream.size());
 
-    // One queue per machine; release times are *run-relative* (machine
-    // m realizes virtual time t at start[m] + t), so queue horizons are
-    // comparable across machines with different clock offsets.
-    std::vector<sim::EventQueue> queues(machines);
-    // A share-nothing fleet has no cross-machine interaction at all:
-    // the conservative horizon clamps straight to the epoch barrier and
-    // each epoch drains in one round. Coupled fleets (remote-sfork
-    // lending, P2P image streams mutate lender state mid-boot) never
-    // reach the queues — they replay inline in stream order below.
-    sim::ConservativeScheduler scheduler(
-        queues, sim::ConservativeScheduler::unboundedLookahead());
+    // One bucket of tape positions per machine. The tape is sorted by
+    // arrival time and buckets fill in stream order, so serving a
+    // bucket front to back is the machine's arrival order. Coupled
+    // fleets (remote-sfork lending, P2P image streams mutate lender
+    // state mid-boot) never use the buckets: they replay inline in
+    // stream order below.
+    std::vector<std::vector<std::size_t>> buckets(machines);
 
     // Serve tape position i on its routed machine. Runs on a worker
     // thread for share-nothing fleets: everything it touches is local
@@ -254,9 +254,6 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
         Outcome &out = outcomes[i];
         const std::size_t target = out.machine;
         platform::ServerlessPlatform &plat = cluster_.platform(target);
-        // No-op after the upfront deploy; covers callers that drive a
-        // partially-deployed cluster.
-        population_.deployTo(plat, fn);
         advanceMachineTo(target, arrival.atSec);
 
         // If the machine's clock leads the arrival it was still busy
@@ -269,8 +266,9 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
         out.queued = now_on_target > arrive ? now_on_target - arrive
                                             : sim::SimTime::zero();
 
-        if (config.perArrivalExpiry &&
-            config.policy.keepAliveTtl > sim::SimTime::zero())
+        // Expiring on every arrival as well as at the policy tick keeps
+        // keep-alive economics independent of the tick cadence.
+        if (config.policy.keepAliveTtl > sim::SimTime::zero())
             out.expired = plat.expireIdle(config.policy.keepAliveTtl);
 
         sandbox::Machine &m = cluster_.machine(target);
@@ -376,20 +374,12 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
                     cluster_.routeProjected(fn.name, loads);
                 ++loads[target];
                 outcomes[i].machine = target;
-                queues[target].post(
-                    sim::SimTime::seconds(stream[i].atSec),
-                    [&serveOne, i] { serveOne(i); });
+                buckets[target].push_back(i);
             }
-            const sim::SimTime barrier = sim::SimTime::seconds(next_tick);
-            scheduler.runRounds(barrier, [&](sim::SimTime horizon) {
-                std::atomic<std::size_t> ran{0};
-                exec.forEach(machines, [&](std::size_t m) {
-                    // Handlers advance their machine's clock
-                    // themselves (release times are run-relative).
-                    ran.fetch_add(queues[m].runUntil(horizon, nullptr),
-                                  std::memory_order_relaxed);
-                });
-                return ran.load(std::memory_order_relaxed);
+            exec.forEach(machines, [&](std::size_t m) {
+                for (const std::size_t i : buckets[m])
+                    serveOne(i);
+                buckets[m].clear();
             });
         } else {
             // Coupled fleets replay inline in stream order (always

@@ -26,36 +26,27 @@
 
 namespace catalyzer::load {
 
-/** One fleet run's configuration. */
+/**
+ * One fleet run's configuration. Every run deploys the population,
+ * primes each function's image on every machine (one throwaway
+ * invocation, then all instances dropped, so both policy arms start
+ * with built images but zero warm capacity) and, with a positive
+ * keep-alive TTL, expires the routed machine's idle instances on every
+ * arrival as well as at each policy tick.
+ */
 struct FleetRunConfig
 {
     FleetPolicyConfig policy;
-    /**
-     * Expire the routed machine's idle instances on every arrival (the
-     * WorkloadDriver convention) in addition to the policy tick, so
-     * keep-alive economics do not depend on the tick cadence.
-     */
-    bool perArrivalExpiry = true;
-    /**
-     * Before the measured window, run one throwaway invocation of every
-     * function on every machine and then drop all instances. First
-     * contact with a function otherwise pays one-time initialization on
-     * the request path — checkpointing the separated image, priming the
-     * shared base — which a long-running fleet did days ago; unprimed,
-     * that tax (~100 ms x functions x machines) swamps every scenario
-     * with synthetic overload. Instances are expired afterwards so both
-     * policy arms still start from zero warm capacity.
-     */
-    bool primeImages = true;
     /** Window length for the driver's per-tenant series. */
     sim::SimTime tenantWindow = sim::SimTime::milliseconds(250.0);
     /**
-     * Worker threads draining per-machine event queues between policy
-     * ticks; 0 reads the CATALYZER_SIM_THREADS environment knob
-     * (default 1). Thread count never changes the report: routing and
-     * accounting stay in stream order, and only share-nothing fleets
-     * (Cluster::shareNothing) actually fan out — fleets coupled by
-     * remote-sfork or P2P images replay sequentially regardless.
+     * Worker threads serving per-machine arrival buckets between
+     * policy ticks (and priming machines before the run); 0 reads the
+     * CATALYZER_SIM_THREADS environment knob (default 1). Thread count
+     * never changes the report: routing and accounting stay in stream
+     * order, and only share-nothing fleets (Cluster::shareNothing)
+     * actually fan out — fleets coupled by remote-sfork, P2P or
+     * chunked images replay sequentially regardless.
      */
     int simThreads = 0;
     /**

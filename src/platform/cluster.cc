@@ -103,19 +103,6 @@ Cluster::prepareEverywhere(const apps::AppProfile &app)
 }
 
 std::size_t
-Cluster::pick(const std::string &function_name)
-{
-    return pickFromLoads(function_name, instanceLoads());
-}
-
-std::size_t
-Cluster::pickFromLoads(const std::string &function_name,
-                       const std::vector<std::size_t> &loads)
-{
-    return pickFromLoads(function_name, loads, {});
-}
-
-std::size_t
 Cluster::pickFromLoads(const std::string &function_name,
                        const std::vector<std::size_t> &loads,
                        const std::vector<std::size_t> &affinity_bytes)
@@ -222,7 +209,7 @@ Cluster::pickFromLoads(const std::string &function_name,
 std::size_t
 Cluster::route(const std::string &function_name)
 {
-    return pick(function_name);
+    return pickFromLoads(function_name, instanceLoads());
 }
 
 std::size_t
@@ -292,7 +279,7 @@ ClusterInvocation
 Cluster::invoke(const std::string &function_name,
                 trace::TraceContext trace)
 {
-    return invokeOn(pick(function_name), function_name, trace);
+    return invokeOn(route(function_name), function_name, trace);
 }
 
 ClusterInvocation

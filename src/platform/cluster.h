@@ -217,13 +217,14 @@ class Cluster
     void writeTimeSeriesJson(std::ostream &os) const;
 
   private:
-    std::size_t pick(const std::string &function_name);
-    std::size_t pickFromLoads(const std::string &function_name,
-                              const std::vector<std::size_t> &loads);
+    /**
+     * The placement policy against per-machine @p loads; NetworkAware
+     * also weighs @p affinity_bytes (see routeStage()).
+     */
     std::size_t
     pickFromLoads(const std::string &function_name,
                   const std::vector<std::size_t> &loads,
-                  const std::vector<std::size_t> &affinity_bytes);
+                  const std::vector<std::size_t> &affinity_bytes = {});
 
     struct Node
     {

@@ -5,8 +5,8 @@
  *
  * Demand paging loads restore pages one 4 KiB random read at a time
  * (CostModel::demandFaultFileCold); the prefetcher instead submits the
- * manifest's stable set as readahead batches of prefetchBatchPages
- * pages, paying one setup per batch plus the sequential per-page
+ * manifest's stable set as readahead batches of batch_pages pages,
+ * paying one setup per batch plus the sequential per-page
  * transfer (CostModel::prefetchBatchSetup / prefetchSsdPerPage). The
  * transfers are charged across the restore worker pool, modelling reads
  * that overlap the Base-EPT share-mapping and the rest of the restore.

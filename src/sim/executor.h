@@ -1,9 +1,10 @@
 /**
  * @file
- * The multi-threaded executor that drains per-machine event queues
- * concurrently. Determinism does not depend on thread count: workers
- * only run share-nothing per-machine work, and every cross-machine
- * reduction happens on the calling thread in a fixed order.
+ * The multi-threaded executor that serves per-machine work (fleet
+ * priming, each epoch's per-machine arrival buckets) concurrently.
+ * Determinism does not depend on thread count: workers only run
+ * share-nothing per-machine work, and every cross-machine reduction
+ * happens on the calling thread in a fixed order.
  */
 
 #ifndef CATALYZER_SIM_EXECUTOR_H

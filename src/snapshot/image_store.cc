@@ -6,6 +6,13 @@
 
 namespace catalyzer::snapshot {
 
+namespace {
+
+/** Pages per chunk when a modeled whole-image fetch streams. */
+constexpr std::size_t kFetchChunkPages = 1024;
+
+} // namespace
+
 std::string
 ImageStore::key(const std::string &name, ImageFormat format)
 {
@@ -130,8 +137,7 @@ ImageStore::transferImage(const std::string &k, const FuncImage &image,
         }
     }
 
-    const std::size_t chunk_bytes = mem::bytesForPages(
-        std::max<std::size_t>(net.config().chunkPages, 1));
+    const std::size_t chunk_bytes = mem::bytesForPages(kFetchChunkPages);
     for (std::size_t off = 0; off < bytes; off += chunk_bytes) {
         const std::size_t n = std::min(chunk_bytes, bytes - off);
         if (injector_ != nullptr &&
