@@ -4,8 +4,9 @@
  *
  * Unlike the fig and tab binaries (which report *virtual-clock*
  * latencies), this harness measures how fast the simulator executes on the real
- * machine: boots per wall-second for cold / warm / sfork sweeps and raw
- * page-touch throughput on the memory substrate, plus host time per
+ * machine: boots per wall-second for cold / warm / sfork sweeps, raw
+ * page-touch throughput on the memory substrate, host time per touched
+ * page of an invoke-shaped strided working set, plus host time per
  * separated func-image build + first decode. It exists to keep the
  * extent-based memory hot paths honest — the paper's scalability regime
  * (Fig. 15, 1000+ concurrent instances) is exactly where per-page
@@ -42,6 +43,7 @@
 
 #include "bench_util.h"
 #include "catalyzer/runtime.h"
+#include "mem/address_space.h"
 #include "objgraph/separated_image.h"
 #include "platform/platform.h"
 #include "sim/executor.h"
@@ -58,6 +60,11 @@ using Clock = std::chrono::steady_clock;
 
 /** SPECjbb-sized images built and decoded by the objgraph micro. */
 constexpr long kImageMicroBuilds = 20;
+
+/** Strided working-set micro: heap size, touch stride, children. */
+constexpr std::size_t kStridedHeapPages = 65536;
+constexpr std::size_t kStridedTouchStride = 32;
+constexpr long kStridedTouchChildren = 1000;
 
 double
 secondsSince(Clock::time_point start)
@@ -187,6 +194,47 @@ touchMicro(long npages)
 }
 
 /**
+ * Working-set micro shaped like SandboxInstance::invoke(): each child
+ * is sforked from a template attached to a resident Base-EPT whose
+ * lower half the template has already copied into its Private-EPT,
+ * then touches one page in kStridedTouchStride across the whole heap,
+ * writing the first half of them. Its writes are COW copies (lower
+ * half) and Base-EPT copies (upper half), its reads private and base
+ * hits. Only the touchStrided() calls are timed.
+ */
+void
+stridedTouchMicro()
+{
+    sim::SimContext ctx(42);
+    mem::FrameStore store;
+    mem::BackingFile image(store, "/perf.img", kStridedHeapPages);
+    auto base = std::make_shared<mem::BaseMapping>(
+        store, image, 0, kStridedHeapPages, "perf-base");
+    base->populateAll(ctx, /*cold=*/false);
+    mem::AddressSpace tmpl(ctx, store, "perf-template");
+    const mem::PageIndex va = tmpl.attachBase(base);
+    tmpl.touchRange(va, kStridedHeapPages / 2, /*write=*/true);
+
+    const std::size_t touched = kStridedHeapPages / kStridedTouchStride;
+    Clock::duration busy{};
+    long pages = 0;
+    for (long i = 0; i < kStridedTouchChildren; ++i) {
+        auto child = tmpl.forkCow("perf-child");
+        const auto start = Clock::now();
+        child->touchStrided(va, touched, kStridedTouchStride,
+                            /*writes=*/touched / 2);
+        busy += Clock::now() - start;
+        pages += static_cast<long>(touched);
+    }
+    const double wall = std::chrono::duration<double>(busy).count();
+    results.push_back({"strided working-set touch", pages, wall, "pages"});
+    std::printf("strided working-set touch: %.1f ns/page (%ld children "
+                "x %zu pages, stride %zu)\n",
+                wall * 1e9 / static_cast<double>(pages),
+                kStridedTouchChildren, touched, kStridedTouchStride);
+}
+
+/**
  * Func-image metadata micro: the offline separated-state build of a
  * SPECjbb-sized kernel object graph (37,838 objects, paper Sec. 2.2)
  * plus the first, uncached reconstruct() decode of each fresh image —
@@ -282,6 +330,7 @@ main()
     warmSweep(warm_boots);
     coldSweep(cold_boots);
     touchMicro(touch_pages);
+    stridedTouchMicro();
     imageMicro(kImageMicroBuilds);
     const double serial_wall =
         fleetSweep(fleet_boots, fleet_machines, 1);

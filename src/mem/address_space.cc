@@ -502,6 +502,151 @@ AddressSpace::touchRange(PageIndex start, std::size_t npages, bool write,
     return faults;
 }
 
+std::size_t
+AddressSpace::touchStrided(PageIndex start, std::size_t count,
+                           std::size_t stride, std::size_t writes,
+                           bool cold)
+{
+    std::size_t faults = 0;
+    const auto per_page = [&](std::size_t k0, std::size_t n) {
+        for (std::size_t k = k0; k < k0 + n; ++k) {
+            if (touch(start + k * stride, k < writes, cold) !=
+                FaultResult::None)
+                ++faults;
+        }
+    };
+    if (observer_ != nullptr || stride == 0) {
+        // touch() already delivers observer events in per-page order.
+        per_page(0, count);
+        return faults;
+    }
+    // Split the stream into its runs through one window (the base
+    // window or one VMA) and resolve each run in turn. Only the base
+    // window and anon VMAs (where a sandbox heap lives) take the
+    // batched walk; file VMAs go through touch().
+    std::size_t k = 0;
+    while (k < count) {
+        const PageIndex page = start + k * stride;
+        const Vma *vma = nullptr;
+        PageIndex window_end = 0;
+        if (base_ && page >= base_va_start_ &&
+            page < base_va_start_ + base_->npages()) {
+            window_end = base_va_start_ + base_->npages();
+        } else {
+            vma = findVma(page);
+            if (!vma)
+                sim::panic("AddressSpace %s: fault on unmapped page %llu",
+                           name_.c_str(),
+                           static_cast<unsigned long long>(page));
+            window_end = vma->start + vma->npages;
+        }
+        const std::size_t n = std::min<std::size_t>(
+            count - k, (window_end - page + stride - 1) / stride);
+        if (vma != nullptr && vma->kind != MapKind::Anon)
+            per_page(k, n);
+        else
+            faults += touchStridedWindow(vma, page, n, stride,
+                                         writes > k ? writes - k : 0, cold);
+        k += n;
+    }
+    return faults;
+}
+
+std::size_t
+AddressSpace::touchStridedWindow(const Vma *vma, PageIndex first,
+                                 std::size_t count, std::size_t stride,
+                                 std::size_t writes, bool cold)
+{
+    // Pass 1 classifies every page against the tables as they stand:
+    // the pages are distinct and each maps its own frame, so resolving
+    // one never changes how another resolves. Table edits wait for
+    // pass 2 so the cursor stays valid.
+    std::int64_t cows = 0;
+    std::int64_t reuses = 0;
+    std::int64_t anon_fills = 0;
+    std::vector<PageTable::Entry> installs;
+    std::vector<std::size_t> fresh;    // installs needing a new anon frame
+    std::vector<FrameId> copied;       // sources of present-page COW copies
+    std::vector<PageIndex> base_pages; // region-relative base accesses
+    const auto copy_into = [&](PageIndex page) {
+        ++cows;
+        fresh.push_back(installs.size());
+        installs.push_back(
+            PageTable::Entry{page, Pte{kInvalidFrame, true, false}});
+    };
+    std::size_t faults = 0;
+    PageTable::Cursor cursor(table_, first);
+    for (std::size_t k = 0; k < count; ++k) {
+        const PageIndex page = first + k * stride;
+        const bool write = k < writes;
+        Pte pte;
+        if (cursor.lookup(page, &pte)) {
+            if (!write || pte.writable)
+                continue;
+            if (!pte.cow)
+                sim::panic("AddressSpace %s: write to read-only page %llu",
+                           name_.c_str(),
+                           static_cast<unsigned long long>(page));
+            ++faults;
+            bool reuse = false;
+            store_.forEachSegment(
+                pte.frame, 1,
+                [&reuse](std::size_t, std::size_t refs, FrameSource src) {
+                    reuse = refs == 1 && src != FrameSource::PageCache;
+                });
+            if (reuse) {
+                ++reuses;
+                installs.push_back(
+                    PageTable::Entry{page, Pte{pte.frame, true, false}});
+            } else {
+                copy_into(page);
+                copied.push_back(pte.frame);
+            }
+            continue;
+        }
+        ++faults;
+        if (vma == nullptr) {
+            base_pages.push_back(page - base_va_start_);
+            if (write)
+                copy_into(page);
+            continue;
+        }
+        if (write && !vma->writable)
+            sim::panic("AddressSpace %s: write to read-only VMA %s",
+                       name_.c_str(), vma->name.c_str());
+        ++anon_fills;
+        fresh.push_back(installs.size());
+        installs.push_back(
+            PageTable::Entry{page, Pte{kInvalidFrame, vma->writable, false}});
+    }
+
+    // Pass 2: base fills (ascending, so page-cache RNG draws keep their
+    // order), one charge per fault class (whole-nanosecond costs, so
+    // N x cost is exact), one allocation for every fresh frame and one
+    // ascending insert.
+    if (!base_pages.empty())
+        base_->populatePages(ctx_, base_pages, cold);
+    const auto &costs = ctx_.costs();
+    const auto charge = [this](const char *counter, sim::SimTime cost,
+                               std::int64_t n) {
+        if (n > 0)
+            ctx_.chargeCounted(counter, cost * n, n);
+    };
+    charge("mem.minor_faults_anon", costs.demandFaultAnon, anon_fills);
+    charge("mem.cow_reuse", costs.demandFaultAnon, reuses);
+    charge("mem.cow_faults", costs.cowFault, cows);
+    if (!fresh.empty()) {
+        const FrameId f0 =
+            store_.allocateRange(fresh.size(), FrameSource::Anonymous);
+        for (std::size_t j = 0; j < fresh.size(); ++j)
+            installs[fresh[j]].pte.frame = f0 + j;
+    }
+    table_.installAscending(installs);
+    for (const FrameId frame : copied)
+        store_.unref(frame);
+    return faults;
+}
+
 std::unique_ptr<AddressSpace>
 AddressSpace::forkCow(std::string child_name, bool honor_cow_flag)
 {

@@ -146,6 +146,22 @@ class AddressSpace
                            bool cold = false);
 
     /**
+     * Touch the @p count pages start + k*stride, k < count, writing the
+     * first @p writes of them: observationally identical to
+     *   for k < count: touch(start + k*stride, k < writes, cold)
+     * (same clock, counters, RNG draws, RSS/PSS and observer events),
+     * but resolved in one ascending pass per mapping window. Forward
+     * cursors over the Private-EPT and Base-EPT replace a tree walk per
+     * page, each fault class is charged once, fresh copies come from
+     * one frame allocation and land in one hinted ascending insert.
+     * With a fault observer armed it runs the touch() loop itself, so
+     * events keep their per-page order. Returns the number of faults.
+     */
+    std::size_t touchStrided(PageIndex start, std::size_t count,
+                             std::size_t stride, std::size_t writes,
+                             bool cold = false);
+
+    /**
      * fork/sfork memory half: clone this space copy-on-write. Present
      * pages become shared-COW in both parent and child. MAP_SHARED VMAs
      * stay truly shared under plain fork (@p honor_cow_flag false); sfork
@@ -202,6 +218,14 @@ class AddressSpace
     /** Batched resolution of a range inside the base window. */
     std::size_t touchBaseRange(PageIndex start, std::size_t npages,
                                bool write, bool cold);
+
+    /**
+     * touchStrided() over @p count pages that all lie in one window:
+     * the base window when @p vma is null, else the anon VMA @p vma.
+     */
+    std::size_t touchStridedWindow(const Vma *vma, PageIndex first,
+                                   std::size_t count, std::size_t stride,
+                                   std::size_t writes, bool cold);
 
     /** COW-resolve a fully present extent (write access). */
     std::size_t resolvePresentRange(PageIndex start, std::size_t npages,

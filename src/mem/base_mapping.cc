@@ -90,6 +90,32 @@ BaseMapping::populateRange(sim::SimContext &ctx, PageIndex start,
     }
 }
 
+void
+BaseMapping::populatePages(sim::SimContext &ctx,
+                           const std::vector<PageIndex> &pages, bool cold)
+{
+    if (pages.empty())
+        return;
+    if (pages.back() >= npages_)
+        sim::panic("BaseMapping %s: page %llu out of range", name_.c_str(),
+                   static_cast<unsigned long long>(pages.back()));
+    std::vector<PageTable::Entry> fills;
+    PageTable::Cursor cursor(table_, pages.front());
+    for (const PageIndex page : pages) {
+        if (!cursor.lookup(page))
+            fills.push_back(PageTable::Entry{page, Pte{}});
+    }
+    if (fills.empty())
+        return;
+    const auto n = static_cast<std::int64_t>(fills.size());
+    ctx.chargeCounted("mem.base_fills", ctx.costs().demandFaultFile * n, n);
+    for (PageTable::Entry &fill : fills) {
+        fill.pte.frame = file_.frameFor(ctx, file_start_ + fill.page, cold);
+        store_.ref(fill.pte.frame);
+    }
+    table_.installAscending(fills);
+}
+
 BaseMapping::PrefetchFill
 BaseMapping::populatePrefetched(sim::SimContext &ctx, PageIndex page)
 {

@@ -8,6 +8,7 @@
 #define CATALYZER_MEM_BASE_MAPPING_H
 
 #include <string>
+#include <vector>
 
 #include "mem/backing_file.h"
 #include "mem/page_table.h"
@@ -66,6 +67,17 @@ class BaseMapping
      */
     void populateRange(sim::SimContext &ctx, PageIndex start,
                        std::size_t npages, bool cold);
+
+    /**
+     * Demand-populate the non-resident pages among @p pages
+     * (region-relative, strictly ascending): one aggregated file-fault
+     * charge, page-cache fills in ascending page order (identical costs,
+     * counters and RNG draws to per-page populate calls), residency
+     * found with one forward cursor and installed with one hinted
+     * ascending insert.
+     */
+    void populatePages(sim::SimContext &ctx,
+                       const std::vector<PageIndex> &pages, bool cold);
 
     /** Eagerly populate the full extent (used by eager-restore baselines). */
     void populateAll(sim::SimContext &ctx, bool cold);

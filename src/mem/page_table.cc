@@ -103,33 +103,53 @@ PageTable::coalesce(RunMap::iterator it)
     return it;
 }
 
+PageTable::RunMap::iterator
+PageTable::installAt(RunMap::iterator hint, PageIndex page, Pte pte)
+{
+    auto it = seek(runs_, hint, page);
+    const Run one{1, pte.frame, pte.writable, pte.cow};
+    if (it != runs_.end() && it->first <= page) {
+        // Present: carve the page out of its run. COW resolution
+        // overwhelmingly replaces a single-page run, which is then
+        // overwritten in place.
+        if (it->first < page) {
+            const auto head = static_cast<std::size_t>(page - it->first);
+            Run tail = it->second;
+            tail.npages -= head;
+            tail.frame0 += head;
+            it->second.npages = head;
+            it = runs_.emplace_hint(std::next(it), page, tail);
+        }
+        if (it->second.npages > 1) {
+            Run rest = it->second;
+            rest.npages -= 1;
+            rest.frame0 += 1;
+            runs_.emplace_hint(std::next(it), page + 1, rest);
+        }
+        it->second = one;
+    } else {
+        it = runs_.emplace_hint(it, page, one);
+        present_ += 1;
+    }
+    return coalesce(it);
+}
+
 void
 PageTable::install(PageIndex page, Pte pte)
 {
     invalidateCache();
-    const Run one{1, pte.frame, pte.writable, pte.cow};
-    auto next = runs_.upper_bound(page);
-    if (next != runs_.begin()) {
-        auto prev = std::prev(next);
-        if (page < prev->first + prev->second.npages) {
-            // Present. COW resolution overwhelmingly replaces a
-            // single-page run; overwrite it in place instead of
-            // erase + re-insert.
-            if (prev->second.npages == 1) {
-                prev->second = one;
-                coalesce(prev);
-                return;
-            }
-            eraseRange(page, 1);
-            auto it = runs_.emplace(page, one).first;
-            present_ += 1;
-            coalesce(it);
-            return;
-        }
-    }
-    auto it = runs_.emplace_hint(next, page, one);
-    present_ += 1;
-    coalesce(it);
+    installAt(firstEndingAfter(runs_, page), page, pte);
+}
+
+void
+PageTable::installAscending(const std::vector<Entry> &entries)
+{
+    if (entries.empty())
+        return;
+    invalidateCache();
+    auto it = firstEndingAfter(runs_, entries.front().page);
+    for (const Entry &e : entries)
+        it = installAt(it, e.page, e.pte);
 }
 
 void

@@ -19,7 +19,9 @@
 #define CATALYZER_MEM_PAGE_TABLE_H
 
 #include <cstddef>
+#include <iterator>
 #include <map>
+#include <vector>
 
 #include "mem/types.h"
 
@@ -52,10 +54,58 @@ class PageTable
         bool cow = false;
     };
 
+  private:
+    using RunMap = std::map<PageIndex, Run>;
+
+  public:
+    /** One entry to install: see installAscending(). */
+    struct Entry
+    {
+        PageIndex page = 0;
+        Pte pte;
+    };
+
+    /**
+     * Forward-only lookup: probes must come in ascending page order and
+     * the table must not change while the cursor lives. Each probe
+     * steps past the runs ending at or before it, so a strided stream
+     * over single-page runs costs O(probes + runs passed) instead of a
+     * root-to-leaf walk per probe; a probe that would pass many runs
+     * re-seeks with one tree walk instead.
+     */
+    class Cursor
+    {
+      public:
+        /** Position before the first run that could hold @p from. */
+        Cursor(const PageTable &table, PageIndex from)
+            : map_(&table.runs_), it_(firstEndingAfter(table.runs_, from))
+        {
+        }
+
+        /** lookup() for the next (larger) page of the stream. */
+        bool
+        lookup(PageIndex page, Pte *out = nullptr)
+        {
+            it_ = seek(*map_, it_, page);
+            if (it_ == map_->end() || it_->first > page)
+                return false;
+            if (out != nullptr)
+                *out = Pte{it_->second.frame0 + (page - it_->first),
+                           it_->second.writable, it_->second.cow};
+            return true;
+        }
+
+      private:
+        const RunMap *map_;
+        RunMap::const_iterator it_;
+    };
+
     /**
      * Look up @p page. Returns true and fills @p out (when non-null)
      * with a snapshot of the entry if present. The hit/miss caches
-     * resolve streaming lookups inline, without a tree walk.
+     * answer repeated probes of one run or one gap without a tree walk;
+     * a strided probe stream over single-page runs misses both, which
+     * is what Cursor is for.
      */
     bool
     lookup(PageIndex page, Pte *out = nullptr) const
@@ -74,6 +124,13 @@ class PageTable
 
     /** Install (or replace) the entry for @p page. */
     void install(PageIndex page, Pte pte);
+
+    /**
+     * Install every entry of @p entries, whose pages strictly ascend:
+     * the same table as install() called for each in order, built with
+     * one hinted forward walk instead of a tree walk per entry.
+     */
+    void installAscending(const std::vector<Entry> &entries);
 
     /**
      * Install @p npages entries mapping contiguous frames starting at
@@ -181,7 +238,40 @@ class PageTable
     }
 
   private:
-    using RunMap = std::map<PageIndex, Run>;
+    /** Runs a forward seek steps over before it re-seeks by tree walk. */
+    static constexpr int kSeekSteps = 8;
+
+    /**
+     * First run of @p runs ending after @p page (it may start after
+     * it), or end(); one tree walk.
+     */
+    template <typename Map>
+    static auto
+    firstEndingAfter(Map &runs, PageIndex page) -> decltype(runs.begin())
+    {
+        auto it = runs.upper_bound(page);
+        if (it != runs.begin() &&
+            std::prev(it)->first + std::prev(it)->second.npages > page)
+            --it;
+        return it;
+    }
+
+    /**
+     * Advance @p it, which must not be past @p page's run, to the first
+     * run ending after @p page.
+     */
+    template <typename Map, typename It>
+    static It
+    seek(Map &runs, It it, PageIndex page)
+    {
+        for (int steps = 0;
+             it != runs.end() && it->first + it->second.npages <= page;
+             ++it) {
+            if (++steps > kSeekSteps)
+                return firstEndingAfter(runs, page);
+        }
+        return it;
+    }
 
     /** Tree-walking tail of lookup(); refreshes the caches. */
     bool lookupSlow(PageIndex page, Pte *out) const;
@@ -197,6 +287,13 @@ class PageTable
 
     /** Merge @p it with its neighbors when contiguous and flag-equal. */
     RunMap::iterator coalesce(RunMap::iterator it);
+
+    /**
+     * install() body: @p hint must not be past @p page's run. Returns
+     * the (coalesced) run now holding @p page, a valid hint for any
+     * larger page.
+     */
+    RunMap::iterator installAt(RunMap::iterator hint, PageIndex page, Pte pte);
 
     /** Drop the last-hit/last-miss lookup caches (any mutation). */
     void

@@ -70,18 +70,9 @@ SandboxInstance::invoke()
     // instances fault against the Base-EPT and sforked ones COW.
     //
     if (heap_pages_ > 0) {
-        auto touched = static_cast<std::size_t>(
-            static_cast<double>(heap_pages_) * app.execTouchFraction);
-        touched = std::clamp<std::size_t>(touched, 1, heap_pages_);
-        const std::size_t stride = std::max<std::size_t>(
-            heap_pages_ / touched, 1);
-        const auto writes = static_cast<std::size_t>(
-            static_cast<double>(touched) * app.execWriteFraction);
-        for (std::size_t k = 0; k < touched; ++k) {
-            const mem::PageIndex page =
-                heap_va_ + (k * stride) % heap_pages_;
-            proc_->space().touch(page, /*write=*/k < writes);
-        }
+        const WorkingSet ws = workingSet();
+        proc_->space().touchStrided(heap_va_, ws.touched, ws.stride,
+                                    ws.writes);
     }
 
     //
@@ -173,25 +164,33 @@ SandboxInstance::setLifetimePager(
         proc_->space().setFaultObserver(lifetime_pager_.get());
 }
 
+SandboxInstance::WorkingSet
+SandboxInstance::workingSet() const
+{
+    const apps::AppProfile &app = fn_.app();
+    WorkingSet ws;
+    ws.touched = std::clamp<std::size_t>(
+        static_cast<std::size_t>(static_cast<double>(heap_pages_) *
+                                 app.execTouchFraction),
+        1, heap_pages_);
+    // stride = floor(heap / touched) >= 1, so the last touched page,
+    // (touched-1)*stride <= heap - stride, stays inside the heap: the
+    // walk never wraps.
+    ws.stride = heap_pages_ / ws.touched;
+    ws.writes = static_cast<std::size_t>(static_cast<double>(ws.touched) *
+                                         app.execWriteFraction);
+    return ws;
+}
+
 void
 SandboxInstance::pretouchWorkingSet()
 {
-    const apps::AppProfile &app = fn_.app();
     if (heap_pages_ == 0 || prep_fraction_ <= 0.0)
         return;
-    auto touched = static_cast<std::size_t>(
-        static_cast<double>(heap_pages_) * app.execTouchFraction);
-    touched = std::clamp<std::size_t>(touched, 1, heap_pages_);
-    const std::size_t stride =
-        std::max<std::size_t>(heap_pages_ / touched, 1);
+    const WorkingSet ws = workingSet();
     const auto prep = static_cast<std::size_t>(
-        static_cast<double>(touched) * prep_fraction_);
-    const auto writes = static_cast<std::size_t>(
-        static_cast<double>(touched) * app.execWriteFraction);
-    for (std::size_t k = 0; k < prep; ++k) {
-        const mem::PageIndex page = heap_va_ + (k * stride) % heap_pages_;
-        proc_->space().touch(page, /*write=*/k < writes);
-    }
+        static_cast<double>(ws.touched) * prep_fraction_);
+    proc_->space().touchStrided(heap_va_, prep, ws.stride, ws.writes);
 }
 
 snapshot::GuestState

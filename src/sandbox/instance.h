@@ -146,6 +146,17 @@ class SandboxInstance
     }
 
   private:
+    /** Strided geometry of one request's working set over the heap. */
+    struct WorkingSet
+    {
+        std::size_t touched = 0; ///< pages one request touches
+        std::size_t stride = 1;  ///< page distance between touches
+        std::size_t writes = 0;  ///< the first `writes` touches write
+    };
+
+    /** The working set of one request; requires a non-empty heap. */
+    WorkingSet workingSet() const;
+
     Machine &machine_;
     FunctionArtifacts &fn_;
     std::string name_;

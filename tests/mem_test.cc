@@ -4,12 +4,16 @@
  * spaces, COW and the Base/Private EPT overlay.
  */
 
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/address_space.h"
 #include "mem/backing_file.h"
 #include "mem/base_mapping.h"
 #include "mem/frame_store.h"
+#include "mem/page_table.h"
 #include "sim/context.h"
 
 namespace catalyzer::mem {
@@ -272,6 +276,75 @@ TEST(BaseMappingTest, PopulateAllAndDetachUnderflow)
     base.populateAll(ctx, false);
     EXPECT_EQ(base.residentPages(), 8u);
     EXPECT_DEATH(base.detach(), "no attachments");
+}
+
+/** A table with one long run, then 50 scattered single-page runs. */
+PageTable
+scatteredTable()
+{
+    PageTable t;
+    t.installRange(0, 100, 1000, true, false);
+    for (PageIndex i = 0; i < 50; ++i)
+        t.install(200 + 2 * i, Pte{5000 + 7 * i, false, true});
+    return t;
+}
+
+/** Every run of @p t as comparable (start, npages, frame0, w, cow). */
+std::vector<std::tuple<PageIndex, std::size_t, FrameId, bool, bool>>
+runsOf(const PageTable &t)
+{
+    std::vector<std::tuple<PageIndex, std::size_t, FrameId, bool, bool>> out;
+    t.forEachRun([&out](PageIndex start, const PageTable::Run &run) {
+        out.emplace_back(start, run.npages, run.frame0, run.writable,
+                         run.cow);
+    });
+    return out;
+}
+
+TEST(PageTableTest, CursorMatchesLookup)
+{
+    const PageTable t = scatteredTable();
+    ASSERT_EQ(t.runCount(), 51u);
+    // Short steps, steps inside one run, holes, and jumps past many
+    // runs (the re-seek path).
+    const std::vector<PageIndex> probes = {0,   5,   99,  100, 150, 200,
+                                           201, 202, 260, 261, 262, 297,
+                                           298, 299, 500};
+    PageTable::Cursor cursor(t, probes.front());
+    for (const PageIndex p : probes) {
+        Pte want;
+        Pte got;
+        const bool present = t.lookup(p, &want);
+        ASSERT_EQ(cursor.lookup(p, &got), present) << p;
+        if (present) {
+            EXPECT_EQ(got.frame, want.frame) << p;
+            EXPECT_EQ(got.writable, want.writable) << p;
+            EXPECT_EQ(got.cow, want.cow) << p;
+        }
+    }
+}
+
+TEST(PageTableTest, InstallAscendingMatchesInstall)
+{
+    // Replace a run's head, middle and tail, extend it (coalescing),
+    // replace single-page runs, fill holes between and past them.
+    const std::vector<PageTable::Entry> entries = {
+        {0, Pte{9000, true, false}},   {50, Pte{9001, true, false}},
+        {99, Pte{9002, false, true}},  {100, Pte{1100, true, false}},
+        {204, Pte{9003, true, false}}, {205, Pte{9004, true, false}},
+        {206, Pte{9005, true, false}}, {280, Pte{9006, true, false}},
+        {400, Pte{9007, true, false}},
+    };
+    PageTable one_by_one = scatteredTable();
+    for (const PageTable::Entry &e : entries)
+        one_by_one.install(e.page, e.pte);
+    PageTable batched = scatteredTable();
+    batched.installAscending(entries);
+    EXPECT_EQ(runsOf(batched), runsOf(one_by_one));
+    EXPECT_EQ(batched.presentPages(), one_by_one.presentPages());
+    Pte pte;
+    ASSERT_TRUE(batched.lookup(100, &pte)); // caches were dropped
+    EXPECT_EQ(pte.frame, 1100u);
 }
 
 TEST(MemTypesTest, PageConversions)
