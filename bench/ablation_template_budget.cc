@@ -10,11 +10,11 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "platform/policy.h"
-#include "platform/workload.h"
 #include "sim/table.h"
 
 using namespace catalyzer;
@@ -46,9 +46,15 @@ run(std::size_t budget_bytes)
         functions.push_back(app->name);
     }
 
+    // Zipf(1) traffic shares of 30 rps, catalog order = popularity rank.
+    double norm = 0.0;
+    for (std::size_t i = 0; i < functions.size(); ++i)
+        norm += 1.0 / static_cast<double>(i + 1);
+    std::vector<double> rps;
+    for (std::size_t i = 0; i < functions.size(); ++i)
+        rps.push_back(30.0 * ((1.0 / static_cast<double>(i + 1)) / norm));
+
     // Two phases: observe traffic, rebalance, then measure.
-    const auto spec =
-        platform::WorkloadSpec::zipf(functions, /*total_rps=*/30.0);
     sim::Rng rng(3);
     sim::LatencySeries latencies;
     for (int phase = 0; phase < 4; ++phase) {
@@ -56,10 +62,9 @@ run(std::size_t budget_bytes)
             // Sample a function by traffic share.
             double pick = rng.uniform() * 30.0;
             std::size_t e = 0;
-            while (e + 1 < spec.mix.size() &&
-                   (pick -= spec.mix[e].requestsPerSecond) > 0)
+            while (e + 1 < rps.size() && (pick -= rps[e]) > 0)
                 ++e;
-            const auto rec = policy.invoke(spec.mix[e].function);
+            const auto rec = policy.invoke(functions[e]);
             if (phase >= 1) // skip the cold warm-up phase
                 latencies.add(rec.endToEnd());
         }

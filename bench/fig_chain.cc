@@ -35,7 +35,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -506,8 +505,7 @@ main()
         std::printf("wrote fig_chain.timeseries.json\n");
     }
 
-    const char *gate = std::getenv("FIG_CHAIN_ASSERT");
-    const bool assert_mode = gate != nullptr && std::string(gate) == "1";
+    const bool assert_mode = bench::envLong("FIG_CHAIN_ASSERT", 0) == 1;
     std::printf("\nscripted expectations%s:\n",
                 assert_mode ? " (asserting)" : "");
     int failed = 0;

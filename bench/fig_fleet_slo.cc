@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -366,8 +365,7 @@ main()
         std::printf("wrote fig_fleet_slo.timeseries.json\n");
     }
 
-    const char *gate = std::getenv("FIG_FLEET_SLO_ASSERT");
-    const bool assert_mode = gate != nullptr && std::string(gate) == "1";
+    const bool assert_mode = bench::envLong("FIG_FLEET_SLO_ASSERT", 0) == 1;
     std::printf("\nscripted expectations%s:\n",
                 assert_mode ? " (asserting)" : "");
     int failed = 0;

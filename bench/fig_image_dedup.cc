@@ -330,8 +330,7 @@ main()
         std::printf("wrote fig_image_dedup.timeseries.json\n");
     }
 
-    const char *gate = std::getenv("FIG_IMAGE_DEDUP_ASSERT");
-    const bool assert_mode = gate != nullptr && std::string(gate) == "1";
+    const bool assert_mode = bench::envLong("FIG_IMAGE_DEDUP_ASSERT", 0) == 1;
     std::printf("\nscripted expectations%s:\n",
                 assert_mode ? " (asserting)" : "");
     int failed = 0;

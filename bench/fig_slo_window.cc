@@ -27,7 +27,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -208,9 +207,7 @@ main()
     }
 
     // Scripted expectations; FIG_SLO_ASSERT=1 makes them hard.
-    const char *gate = std::getenv("FIG_SLO_ASSERT");
-    const bool assert_mode =
-        gate != nullptr && std::string(gate) == "1";
+    const bool assert_mode = bench::envLong("FIG_SLO_ASSERT", 0) == 1;
     std::printf("\nscripted expectations%s:\n",
                 assert_mode ? " (asserting)" : "");
     int failed = 0;

@@ -177,7 +177,7 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     // and template prep already charged); replay is relative, so machine
     // m's image of virtual time t is start[m] + t. Clocks only move
     // forward: a machine still serving a back-to-back burst simply lags
-    // the stream and queues, exactly like WorkloadDriver.
+    // the stream and queues.
     auto advanceMachineTo = [&](std::size_t m, double t) {
         sim::VirtualClock &clock = cluster_.machine(m).ctx().clock();
         const sim::SimTime target = start[m] + sim::SimTime::seconds(t);

@@ -4,12 +4,12 @@
  * on the virtual clock, with the autoscaler in the loop, and scores
  * the run (latency series, per-tenant windows, policy counters, cost).
  *
- * Replay semantics extend WorkloadDriver's to a fleet: the scheduler
- * routes each arrival first, then the *chosen machine's* clock idles
- * forward to the arrival time if it leads the request (back-to-back
- * service when it lags), and every machine advances through policy-tick
+ * Open-loop replay on per-machine virtual clocks: the scheduler routes
+ * each arrival first, then the *chosen machine's* clock idles forward
+ * to the arrival time if it leads the request (back-to-back service
+ * when it lags), and every machine advances through policy-tick
  * barriers so windowed series and autoscaling decisions line up across
- * the fleet.
+ * the fleet. A one-machine Cluster is the single-platform case.
  */
 
 #ifndef CATALYZER_LOAD_DRIVER_H

@@ -1,22 +1,18 @@
 /**
  * @file
  * Tests for the extension features: the gVisor-ptrace platform variant,
- * trace-driven workloads, user-guided pre-initialization (Sec. 6.7) and
- * template refresh (Sec. 6.8).
+ * user-guided pre-initialization (Sec. 6.7) and template refresh
+ * (Sec. 6.8).
  */
 
 #include <gtest/gtest.h>
 
 #include "catalyzer/runtime.h"
-#include "platform/workload.h"
 #include "sandbox/pipelines.h"
 
 namespace catalyzer {
 namespace {
 
-using platform::BootStrategy;
-using platform::PlatformConfig;
-using platform::ServerlessPlatform;
 using sandbox::FunctionRegistry;
 using sandbox::Machine;
 using sandbox::SandboxSystem;
@@ -46,41 +42,6 @@ TEST(GVisorPtraceTest, NoKvmButSlowerAppInit)
               kvm.report.appInit().toMs());
     EXPECT_STREQ(sandbox::sandboxSystemName(SandboxSystem::GVisorPtrace),
                  "gVisor-ptrace");
-}
-
-TEST(TraceWorkloadTest, ReplaysExactSchedule)
-{
-    Machine machine(42);
-    ServerlessPlatform plat(machine,
-                            PlatformConfig{BootStrategy::CatalyzerFork});
-    plat.prepare(apps::appByName("ds-text"));
-    plat.prepare(apps::appByName("ds-media"));
-
-    platform::WorkloadSpec spec;
-    spec.trace = {
-        {0.10, "ds-text"},
-        {0.20, "ds-media"},
-        {0.25, "ds-text"},
-        {1.50, "ds-text"},
-    };
-    const auto report = platform::WorkloadDriver(plat).run(spec);
-    EXPECT_EQ(report.requests, 4u);
-    EXPECT_EQ(report.perFunction.at("ds-text").count(), 3u);
-    EXPECT_EQ(report.perFunction.at("ds-media").count(), 1u);
-    // The clock followed the trace to at least the last arrival.
-    EXPECT_GT(machine.ctx().now().toSec(), 1.5);
-}
-
-TEST(TraceWorkloadTest, UnsortedTraceIsSorted)
-{
-    Machine machine(42);
-    ServerlessPlatform plat(machine,
-                            PlatformConfig{BootStrategy::CatalyzerFork});
-    plat.prepare(apps::appByName("ds-text"));
-    platform::WorkloadSpec spec;
-    spec.trace = {{0.5, "ds-text"}, {0.1, "ds-text"}, {0.3, "ds-text"}};
-    const auto report = platform::WorkloadDriver(plat).run(spec);
-    EXPECT_EQ(report.requests, 3u);
 }
 
 class WarmImageTest : public ::testing::Test

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "load/driver.h"
 #include "platform/policy.h"
-#include "platform/workload.h"
 
 namespace catalyzer::platform {
 namespace {
@@ -90,26 +90,31 @@ INSTANTIATE_TEST_SUITE_P(
                           BootStrategy::CatalyzerFork,
                           BootStrategy::CatalyzerAuto)));
 
-/** The workload driver also survives heavy churn with TTL expiry. */
+/** The fleet driver's one-machine replay also survives heavy churn
+ *  with TTL expiry. */
 TEST(WorkloadFuzzTest, DenseMixWithTinyTtl)
 {
-    Machine machine(99);
+    load::PopulationSpec pspec;
+    pspec.functions = 8;
+    pspec.tenants = 1;
+    pspec.totalRps = 120.0;
+    pspec.zipfSkew = 1.2;
+    pspec.seed = 5;
+    const load::Population pop(pspec); // outlives the cluster
+
     PlatformConfig config;
     config.strategy = BootStrategy::CatalyzerAuto;
     config.reuseIdleInstances = true;
-    ServerlessPlatform plat(machine, config);
-
-    std::vector<std::string> functions;
-    for (const apps::AppProfile *app :
-         apps::appsInSuite(apps::Suite::DeathStar)) {
-        plat.deploy(*app);
-        functions.push_back(app->name);
-    }
-    WorkloadSpec spec = WorkloadSpec::zipf(functions, 120.0, 1.2);
-    spec.durationSec = 3.0;
-    spec.keepAliveTtl = 40_ms;
-    spec.seed = 5;
-    const WorkloadReport report = WorkloadDriver(plat).run(spec);
+    Cluster cluster(1, PlacementPolicy::RoundRobin, config, {}, {},
+                    /*seed=*/99);
+    load::TrafficSpec traffic;
+    traffic.durationSec = 3.0;
+    traffic.seed = 5;
+    load::FleetRunConfig run;
+    run.policy.keepAliveTtl = 40_ms;
+    run.policy.reactiveRebalance = false;
+    const load::FleetReport report =
+        load::FleetDriver(cluster, pop).run(traffic, run);
     EXPECT_GT(report.requests, 100u);
     EXPECT_GT(report.expired, 0u);
     EXPECT_EQ(report.requests, report.boots + report.reuses);

@@ -16,7 +16,6 @@
 #include "load/arrival.h"
 #include "load/driver.h"
 #include "load/traffic.h"
-#include "platform/workload.h"
 
 namespace catalyzer::load {
 namespace {
@@ -29,7 +28,7 @@ using namespace sim::time_literals;
 
 TEST(ArrivalTest, PoissonMatchesManualExponentialAccumulation)
 {
-    // The shared generator must keep WorkloadDriver's exact schedule:
+    // The generator's draw sequence is part of every tape's identity:
     // t += exponential(1/rate) on one Rng, times in order.
     sim::Rng rng(99);
     std::vector<double> times;
@@ -43,20 +42,6 @@ TEST(ArrivalTest, PoissonMatchesManualExponentialAccumulation)
     ASSERT_EQ(times.size(), expect.size());
     for (std::size_t i = 0; i < times.size(); ++i)
         EXPECT_DOUBLE_EQ(times[i], expect[i]);
-}
-
-TEST(ArrivalTest, PoissonArrivalsDeterministicAndTagged)
-{
-    sim::Rng a(7), b(7);
-    std::vector<Arrival> first, second;
-    appendPoissonArrivals(a, 40.0, 5.0, "fn", first);
-    appendPoissonArrivals(b, 40.0, 5.0, "fn", second);
-    ASSERT_EQ(first.size(), second.size());
-    EXPECT_GT(first.size(), 0u);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_DOUBLE_EQ(first[i].atSec, second[i].atSec);
-        EXPECT_EQ(first[i].function, "fn");
-    }
 }
 
 TEST(ArrivalTest, MmppHitsConfiguredMeanRate)
@@ -113,35 +98,6 @@ TEST(ArrivalTest, DiurnalIntegratesToBaseRateOverFullPeriods)
     }
     EXPECT_GT(static_cast<double>(peak),
               1.5 * static_cast<double>(trough));
-}
-
-//
-// Workload zipf shuffle (satellite of the shared-generator refactor).
-//
-
-TEST(WorkloadZipfTest, ShuffleSeedPermutesRanksDeterministically)
-{
-    const std::vector<std::string> fns = {"a", "b", "c", "d", "e", "f"};
-    const auto plain = platform::WorkloadSpec::zipf(fns, 60.0);
-    const auto shuffled = platform::WorkloadSpec::zipf(fns, 60.0, 1.0, 9);
-    const auto shuffled2 = platform::WorkloadSpec::zipf(fns, 60.0, 1.0, 9);
-
-    double plain_total = 0.0, shuffled_total = 0.0;
-    for (std::size_t i = 0; i < fns.size(); ++i) {
-        plain_total += plain.mix[i].requestsPerSecond;
-        shuffled_total += shuffled.mix[i].requestsPerSecond;
-        EXPECT_DOUBLE_EQ(shuffled.mix[i].requestsPerSecond,
-                         shuffled2.mix[i].requestsPerSecond);
-    }
-    EXPECT_NEAR(plain_total, 60.0, 1e-9);
-    EXPECT_NEAR(shuffled_total, 60.0, 1e-9);
-
-    // Same share multiset, different assignment for this seed.
-    bool any_moved = false;
-    for (std::size_t i = 0; i < fns.size(); ++i)
-        any_moved |= plain.mix[i].requestsPerSecond !=
-                     shuffled.mix[i].requestsPerSecond;
-    EXPECT_TRUE(any_moved);
 }
 
 //
@@ -338,6 +294,61 @@ TEST(FleetDriverTest, PureKeepAliveNeverForksButAutoscalerDoes)
     EXPECT_GT(pw_report.tierCounts.count("sfork") +
                   pw_report.tierCounts.count("remote-sfork"),
               0u);
+}
+
+/**
+ * Service latency (gateway + boot + exec, queue wait excluded) of a
+ * steady 40 rps Zipf tape over ten functions on one machine: the
+ * keep-alive ablation's setup.
+ */
+sim::LatencySeries
+oneMachineServiceMs(platform::BootStrategy strategy, bool keep_alive,
+                    sim::SimTime ttl)
+{
+    PopulationSpec pspec;
+    pspec.functions = 10;
+    pspec.tenants = 1;
+    pspec.totalRps = 40.0;
+    pspec.seed = 7;
+    const Population pop(pspec);
+
+    platform::PlatformConfig pconf;
+    pconf.strategy = strategy;
+    pconf.reuseIdleInstances = keep_alive;
+    platform::Cluster cluster(1, platform::PlacementPolicy::RoundRobin,
+                              pconf);
+    TrafficSpec traffic;
+    traffic.durationSec = 8.0;
+    traffic.seed = 7;
+    FleetRunConfig config;
+    config.policy.keepAliveTtl = ttl;
+    config.policy.reactiveRebalance = false;
+    const FleetReport report =
+        FleetDriver(cluster, pop).run(traffic, config);
+
+    sim::LatencySeries service;
+    for (std::size_t i = 0; i < report.endToEnd.count(); ++i)
+        service.addMs(report.endToEnd.raw()[i] -
+                      report.queueWait.raw()[i]);
+    return service;
+}
+
+TEST(FleetDriverTest, KeepAliveHelpsTheMedianNotTheTail)
+{
+    // Paper Sec. 2.2 / 6.9: caching fixes the median, but the tail is
+    // still cold boots; fork boot fixes both.
+    const sim::LatencySeries none = oneMachineServiceMs(
+        platform::BootStrategy::GVisor, false, sim::SimTime::zero());
+    const sim::LatencySeries keep_alive = oneMachineServiceMs(
+        platform::BootStrategy::GVisor, true, 2_s);
+    const sim::LatencySeries fork = oneMachineServiceMs(
+        platform::BootStrategy::CatalyzerFork, false,
+        sim::SimTime::zero());
+
+    EXPECT_LT(keep_alive.percentile(50), none.percentile(50) / 10.0);
+    EXPECT_GT(keep_alive.percentile(99),
+              10.0 * keep_alive.percentile(50));
+    EXPECT_LT(fork.percentile(99), keep_alive.percentile(99) / 10.0);
 }
 
 TEST(FleetAutoscalerTest, PrewarmTriggersOnEwmaAndCountsFalsePositives)

@@ -12,6 +12,7 @@ namespace {
 
 using sandbox::BootKind;
 using sandbox::Machine;
+using namespace sim::time_literals;
 
 TEST(PlatformTest, InvokeBootsAndExecutes)
 {
@@ -143,6 +144,24 @@ TEST(PlatformTest, EndToEndSpeedupOnDeathStar)
     // End to end, Catalyzer still wins by a wide margin.
     EXPECT_GT(gv_rec.endToEnd().toMs() / cat_rec.endToEnd().toMs(),
               10.0);
+}
+
+TEST(PlatformTtlTest, ExpireIdleHonorsAge)
+{
+    Machine machine(42);
+    PlatformConfig config;
+    config.strategy = BootStrategy::CatalyzerWarm;
+    config.reuseIdleInstances = true;
+    ServerlessPlatform plat(machine, config);
+    plat.prepare(apps::appByName("ds-text"));
+    plat.invoke("ds-text");
+    EXPECT_EQ(plat.idleCount(), 1u);
+
+    // Young instance survives.
+    EXPECT_EQ(plat.expireIdle(10_s), 0u);
+    machine.ctx().clock().advance(20_s);
+    EXPECT_EQ(plat.expireIdle(10_s), 1u);
+    EXPECT_EQ(plat.idleCount(), 0u);
 }
 
 } // namespace
