@@ -31,11 +31,19 @@
  *                          than the 1-worker run (default 0 = no gate;
  *                          CI enables it only on hosts with enough
  *                          cores — speedup is bounded by nproc)
+ *
+ * Every run also writes the ledger BENCH_perf.json into the working
+ * directory: a header naming the commit the build was configured from
+ * ("none" outside git; "-dirty" when the tree had local changes), the
+ * host's hardware threads and the build type, then one entry per sweep
+ * with its wall seconds and rate. A Release run's ledger is committed
+ * with each performance change, so the repository keeps the trajectory.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,6 +55,7 @@
 #include "objgraph/separated_image.h"
 #include "platform/platform.h"
 #include "sim/executor.h"
+#include "sim/json.h"
 #include "sim/logging.h"
 #include "sim/table.h"
 
@@ -57,6 +66,9 @@ using bench::envLong;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** Version of the BENCH_perf.json layout. */
+constexpr int kLedgerSchemaVersion = 1;
 
 /** SPECjbb-sized images built and decoded by the objgraph micro. */
 constexpr long kImageMicroBuilds = 20;
@@ -99,9 +111,42 @@ struct SweepResult
     long items = 0;
     double wallSec = 0.0;
     std::string unit;
+
+    double
+    rate() const
+    {
+        return static_cast<double>(items) /
+               (wallSec > 0.0 ? wallSec : 1e-9);
+    }
 };
 
 std::vector<SweepResult> results;
+
+/** Write the ledger: the build's header, then every sweep's result. */
+void
+writeLedger(const char *path)
+{
+    std::ofstream os(path);
+    os << "{\n  \"schema_version\": " << kLedgerSchemaVersion
+       << ",\n  \"commit\": \"" << sim::jsonEscape(CATALYZER_GIT_COMMIT)
+       << "\",\n  \"nproc\": " << std::thread::hardware_concurrency()
+       << ",\n  \"build_type\": \""
+       << sim::jsonEscape(CATALYZER_BUILD_TYPE) << "\",\n  \"sweeps\": [";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const SweepResult &r = results[i];
+        os << (i == 0 ? "" : ",") << "\n    {\"name\": \""
+           << sim::jsonEscape(r.name) << "\", \"items\": " << r.items
+           << ", \"unit\": \"" << sim::jsonEscape(r.unit)
+           << "\", \"wall_s\": ";
+        sim::writeJsonNumber(os, r.wallSec);
+        os << ", \"rate_per_s\": ";
+        sim::writeJsonNumber(os, r.rate());
+        os << "}";
+    }
+    os << "\n  ]\n}\n";
+    if (!os)
+        sim::fatal("perf_throughput: cannot write %s", path);
+}
 
 /** 1000+ fork boots, each followed by a touch-heavy invocation. */
 double
@@ -342,11 +387,10 @@ main()
     table.setHeader({"sweep", "items", "wall", "rate"});
     for (const SweepResult &r : results) {
         table.addRow({r.name, std::to_string(r.items) + " " + r.unit,
-                      fmtSecs(r.wallSec),
-                      fmtRate(static_cast<double>(r.items) /
-                              (r.wallSec > 0.0 ? r.wallSec : 1e-9))});
+                      fmtSecs(r.wallSec), fmtRate(r.rate())});
     }
     table.print();
+    writeLedger("BENCH_perf.json");
 
     const double fork_rate =
         static_cast<double>(fork_boots) /

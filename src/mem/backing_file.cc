@@ -37,7 +37,7 @@ BackingFile::frameFor(sim::SimContext &ctx, PageIndex page,
         ctx.stats().incr("mem.page_cache_fills");
     }
     const FrameId frame = store_.allocate(FrameSource::PageCache);
-    cache_.emplace(page, frame);
+    fill(page, frame);
     return frame;
 }
 
@@ -61,7 +61,7 @@ BackingFile::prefetchFrame(sim::SimContext &ctx, PageIndex page,
         *from_cache = false;
     ctx.stats().incr("mem.page_cache_prefetch_fills");
     const FrameId frame = store_.allocate(FrameSource::PageCache);
-    cache_.emplace(page, frame);
+    fill(page, frame);
     return frame;
 }
 
@@ -72,11 +72,40 @@ BackingFile::resident(PageIndex page) const
 }
 
 void
+BackingFile::fill(PageIndex page, FrameId frame)
+{
+    cache_.emplace(page, frame);
+    if (resident_sum_ != nullptr)
+        ++*resident_sum_;
+}
+
+void
 BackingFile::evict()
 {
     for (auto &[page, frame] : cache_)
         store_.unref(frame);
+    if (resident_sum_ != nullptr)
+        *resident_sum_ -= cache_.size();
     cache_.clear();
+}
+
+void
+BackingFile::attachResidency(std::size_t *resident_pages)
+{
+    if (resident_sum_ != nullptr)
+        sim::panic("BackingFile %s: residency already attached",
+                   name_.c_str());
+    resident_sum_ = resident_pages;
+    *resident_sum_ += cache_.size();
+}
+
+void
+BackingFile::detachResidency()
+{
+    if (resident_sum_ == nullptr)
+        return;
+    *resident_sum_ -= cache_.size();
+    resident_sum_ = nullptr;
 }
 
 } // namespace catalyzer::mem

@@ -67,11 +67,27 @@ class BackingFile
     std::size_t residentPages() const { return cache_.size(); }
     const std::string &name() const { return name_; }
 
+    /**
+     * Keep @p *resident_pages equal to a running sum that includes this
+     * file's residentPages(): adds them now, then reports every fill
+     * and evict() until detachResidency(). A file feeds at most one
+     * sum at a time; attaching it to a second one panics.
+     */
+    void attachResidency(std::size_t *resident_pages);
+
+    /** Take this file's pages back out of the attached sum. */
+    void detachResidency();
+
   private:
+    /** Record one page-cache fill of @p page to @p frame. */
+    void fill(PageIndex page, FrameId frame);
+
     FrameStore &store_;
     std::string name_;
     std::size_t npages_;
     std::unordered_map<PageIndex, FrameId> cache_;
+    /** The attached residency sum, or nullptr. */
+    std::size_t *resident_sum_ = nullptr;
 };
 
 } // namespace catalyzer::mem

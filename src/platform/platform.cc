@@ -310,12 +310,19 @@ ServerlessPlatform::invoke(const std::string &function_name,
 
     // Find or boot an instance.
     std::unique_ptr<SandboxInstance> inst;
-    auto &idle = idle_[function_name];
-    if (config_.reuseIdleInstances && !idle.empty()) {
+    std::deque<IdleEntry> *idle = nullptr;
+    if (config_.reuseIdleInstances) {
+        auto it = idle_.find(function_name);
+        if (it != idle_.end() && !it->second.empty())
+            idle = &it->second;
+    }
+    if (idle != nullptr) {
         // Most-recently-used instance: the warmest caches, and older
         // ones age toward the keep-alive TTL.
-        inst = std::move(idle.back().instance);
-        idle.pop_back();
+        inst = std::move(idle->back().instance);
+        idle->pop_back();
+        --idle_count_;
+        --live_count_;
         record.reusedInstance = true;
         record.bootKind = inst->bootKind();
         record.tierServed = "reused";
@@ -341,11 +348,17 @@ ServerlessPlatform::invoke(const std::string &function_name,
     }
 
     // Park the instance.
-    if (config_.reuseIdleInstances)
+    if (config_.reuseIdleInstances) {
+        if (idle_count_ == 0)
+            oldest_parked_ = ctx.now();
         idle_[function_name].push_back(
             IdleEntry{std::move(inst), ctx.now()});
-    else if (config_.retainInstances)
+        ++idle_count_;
+        ++live_count_;
+    } else if (config_.retainInstances) {
         running_[function_name].push_back(std::move(inst));
+        ++live_count_;
+    }
     // else: destroyed here, releasing its memory.
 
     ctx.stats().incr("platform.invocations");
@@ -401,41 +414,34 @@ ServerlessPlatform::runningCount(const std::string &function_name) const
 }
 
 std::size_t
-ServerlessPlatform::totalInstances() const
-{
-    std::size_t n = 0;
-    for (const auto &[name, list] : running_)
-        n += list.size();
-    for (const auto &[name, list] : idle_)
-        n += list.size();
-    return n;
-}
-
-std::size_t
 ServerlessPlatform::expireIdle(sim::SimTime ttl)
 {
     const sim::SimTime now = machine_.ctx().now();
+    // Every idle instance parked at or after oldest_parked_, so none
+    // is older than the TTL yet.
+    if (idle_count_ == 0 || now - oldest_parked_ <= ttl)
+        return 0;
     std::size_t reclaimed = 0;
+    bool have_oldest = false;
     for (auto &[name, entries] : idle_) {
         while (!entries.empty() &&
                now - entries.front().parkedAt > ttl) {
             entries.pop_front();
             ++reclaimed;
         }
+        // Each deque is in park order, so its front is its oldest.
+        if (!entries.empty() &&
+            (!have_oldest || entries.front().parkedAt < oldest_parked_)) {
+            oldest_parked_ = entries.front().parkedAt;
+            have_oldest = true;
+        }
     }
+    idle_count_ -= reclaimed;
+    live_count_ -= reclaimed;
     if (reclaimed > 0)
         machine_.ctx().stats().incr("platform.idle_expired",
                                     static_cast<std::int64_t>(reclaimed));
     return reclaimed;
-}
-
-std::size_t
-ServerlessPlatform::idleCount() const
-{
-    std::size_t n = 0;
-    for (const auto &[name, entries] : idle_)
-        n += entries.size();
-    return n;
 }
 
 std::size_t
@@ -461,8 +467,15 @@ ServerlessPlatform::residentBytes() const
 void
 ServerlessPlatform::teardown(const std::string &function_name)
 {
-    running_.erase(function_name);
-    idle_.erase(function_name);
+    if (auto it = running_.find(function_name); it != running_.end()) {
+        live_count_ -= it->second.size();
+        running_.erase(it);
+    }
+    if (auto it = idle_.find(function_name); it != idle_.end()) {
+        idle_count_ -= it->second.size();
+        live_count_ -= it->second.size();
+        idle_.erase(it);
+    }
 }
 
 std::size_t

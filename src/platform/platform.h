@@ -113,19 +113,22 @@ class ServerlessPlatform
     instancesOf(const std::string &function_name);
 
     std::size_t runningCount(const std::string &function_name) const;
-    std::size_t totalInstances() const;
+    /** Live instances across all functions (running + idle); O(1). */
+    std::size_t totalInstances() const { return live_count_; }
 
     /** Destroy all instances of a function. */
     void teardown(const std::string &function_name);
 
     /**
      * Keep-alive expiry: destroy idle instances parked for longer than
-     * @p ttl. Returns the number of instances reclaimed.
+     * @p ttl, in function-name order and oldest first per function.
+     * Returns the number of instances reclaimed. Returns 0 without
+     * scanning while no idle instance can be that old.
      */
     std::size_t expireIdle(sim::SimTime ttl);
 
-    /** Idle (keep-alive) instances across all functions. */
-    std::size_t idleCount() const;
+    /** Idle (keep-alive) instances across all functions; O(1). */
+    std::size_t idleCount() const { return idle_count_; }
 
     /**
      * Resident memory attributable to serving: every live instance
@@ -211,10 +214,23 @@ class ServerlessPlatform
     obs::FlightRecorder recorder_;
     /** Trace id of the request currently in invoke() (0 outside). */
     trace::TraceId current_trace_ = 0;
+    /** Parked instances per function, oldest first; holds only
+     *  functions that have parked an instance. */
     std::map<std::string, std::deque<IdleEntry>> idle_;
     std::map<std::string,
              std::vector<std::unique_ptr<sandbox::SandboxInstance>>>
         running_;
+    /** Sum of every running_ and idle_ list's size. */
+    std::size_t live_count_ = 0;
+    /** Sum of every idle_ deque's size. */
+    std::size_t idle_count_ = 0;
+    /**
+     * While idle_count_ > 0: no idle instance parked before this.
+     * Set when an instance parks on a platform with none idle, exact
+     * again after every expiry scan; reuse and teardown only make it
+     * looser.
+     */
+    sim::SimTime oldest_parked_;
     std::optional<remote::RemoteBootEnv> remote_env_;
 };
 

@@ -183,38 +183,38 @@ TieredChunkCache::touch(ChunkId id)
     auto it = entries_.find(id);
     if (it == entries_.end())
         return;
-    it->second.prev = it->second.last;
-    it->second.last = ++access_seq_;
+    Entry &e = it->second;
+    std::set<Lru2Key> &index = order(e.tier);
+    index.erase(keyOf(id, e));
+    e.prev = e.last;
+    e.last = ++access_seq_;
+    index.insert(keyOf(id, e));
 }
 
 ChunkId
-TieredChunkCache::victim(ChunkTier tier) const
+TieredChunkCache::victim(ChunkTier tier)
 {
-    ChunkId best = 0;
-    bool found = false;
-    std::uint64_t best_prev = 0, best_last = 0;
-    for (const auto &[id, e] : entries_) {
-        if (e.tier != tier)
-            continue;
-        // LRU-2: oldest second-to-last access first, last access as
-        // the tie-break; map order settles exact ties.
-        if (!found || e.prev < best_prev ||
-            (e.prev == best_prev && e.last < best_last)) {
-            best = id;
-            best_prev = e.prev;
-            best_last = e.last;
-            found = true;
-        }
-    }
-    if (!found)
+    // LRU-2: oldest second-to-last access first, last access as the
+    // tie-break; the lowest id settles exact ties.
+    const std::set<Lru2Key> &index = order(tier);
+    if (index.empty())
         sim::panic("TieredChunkCache: no victim in tier");
-    return best;
+    return std::get<2>(*index.begin());
+}
+
+void
+TieredChunkCache::setTier(ChunkId id, Entry &e, ChunkTier tier)
+{
+    auto node = order(e.tier).extract(keyOf(id, e));
+    e.tier = tier;
+    order(tier).insert(std::move(node));
 }
 
 void
 TieredChunkCache::dropFromSsd(ChunkId id, Result &result)
 {
     auto it = entries_.find(id);
+    ssd_order_.erase(keyOf(id, it->second));
     ssd_bytes_ -= it->second.bytes;
     entries_.erase(it);
     result.dropped.push_back(id);
@@ -223,15 +223,17 @@ TieredChunkCache::dropFromSsd(ChunkId id, Result &result)
 void
 TieredChunkCache::demote(ChunkId id, Result &result)
 {
-    Entry &e = entries_.at(id);
+    auto it = entries_.find(id);
+    Entry &e = it->second;
     const std::size_t bytes = e.bytes;
     ram_bytes_ -= bytes;
     if (bytes > ssd_budget_) {
-        entries_.erase(id);
+        ram_order_.erase(keyOf(id, e));
+        entries_.erase(it);
         result.dropped.push_back(id);
         return;
     }
-    e.tier = ChunkTier::Ssd;
+    setTier(id, e, ChunkTier::Ssd);
     ssd_bytes_ += bytes;
     ++result.demotions;
     makeRoom(ChunkTier::Ssd, 0, result);
@@ -250,6 +252,16 @@ TieredChunkCache::makeRoom(ChunkTier tier, std::size_t bytes,
     }
 }
 
+void
+TieredChunkCache::add(ChunkId id, std::size_t bytes, ChunkTier tier)
+{
+    const Entry &e =
+        entries_.emplace(id, Entry{bytes, tier, 0, 0}).first->second;
+    order(tier).insert(keyOf(id, e));
+    (tier == ChunkTier::Ram ? ram_bytes_ : ssd_bytes_) += bytes;
+    touch(id);
+}
+
 TieredChunkCache::Result
 TieredChunkCache::insert(ChunkId id, std::size_t bytes)
 {
@@ -263,13 +275,10 @@ TieredChunkCache::insert(ChunkId id, std::size_t bytes)
         // Never fits in RAM: cache on SSD directly.
         if (it == entries_.end()) {
             makeRoom(ChunkTier::Ssd, bytes, result);
-            if (bytes <= ssd_budget_) {
-                entries_[id] = Entry{bytes, ChunkTier::Ssd, 0, 0};
-                ssd_bytes_ += bytes;
-                touch(id);
-            } else {
+            if (bytes <= ssd_budget_)
+                add(id, bytes, ChunkTier::Ssd);
+            else
                 result.dropped.push_back(id);
-            }
         } else {
             touch(id);
         }
@@ -278,27 +287,27 @@ TieredChunkCache::insert(ChunkId id, std::size_t bytes)
     if (it != entries_.end()) {
         // Promote SSD -> RAM.
         ssd_bytes_ -= it->second.bytes;
-        it->second.tier = ChunkTier::Ram;
+        setTier(id, it->second, ChunkTier::Ram);
         ram_bytes_ += it->second.bytes;
         touch(id);
         makeRoom(ChunkTier::Ram, 0, result);
         return result;
     }
     makeRoom(ChunkTier::Ram, bytes, result);
-    entries_[id] = Entry{bytes, ChunkTier::Ram, 0, 0};
-    ram_bytes_ += bytes;
-    touch(id);
+    add(id, bytes, ChunkTier::Ram);
     return result;
 }
 
 TieredChunkCache::Result
 TieredChunkCache::demoteAll()
 {
+    // Demote in id order (the order a walk of entries_ visits them).
     Result result;
     std::vector<ChunkId> ram_ids;
-    for (const auto &[id, e] : entries_)
-        if (e.tier == ChunkTier::Ram)
-            ram_ids.push_back(id);
+    ram_ids.reserve(ram_order_.size());
+    for (const Lru2Key &key : ram_order_)
+        ram_ids.push_back(std::get<2>(key));
+    std::sort(ram_ids.begin(), ram_ids.end());
     for (ChunkId id : ram_ids)
         demote(id, result);
     return result;

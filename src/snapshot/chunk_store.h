@@ -33,6 +33,8 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "net/fabric.h"
@@ -143,8 +145,28 @@ class TieredChunkCache
         std::uint64_t prev = 0;
     };
 
-    /** LRU-2 victim in @p tier: oldest prev, then oldest last. */
-    ChunkId victim(ChunkTier tier) const;
+    /** LRU-2 order key: oldest prev, then oldest last, then lowest
+     *  id. */
+    using Lru2Key = std::tuple<std::uint64_t, std::uint64_t, ChunkId>;
+
+    static Lru2Key
+    keyOf(ChunkId id, const Entry &e)
+    {
+        return {e.prev, e.last, id};
+    }
+
+    /** The LRU-2 index of @p tier (Ram or Ssd). */
+    std::set<Lru2Key> &order(ChunkTier tier)
+    {
+        return tier == ChunkTier::Ram ? ram_order_ : ssd_order_;
+    }
+
+    /** LRU-2 victim in @p tier: the first key of its index. */
+    ChunkId victim(ChunkTier tier);
+    /** Move @p id (in entries_) to @p tier, keeping both indexes. */
+    void setTier(ChunkId id, Entry &e, ChunkTier tier);
+    /** Create the entry for a new @p id in @p tier and touch it. */
+    void add(ChunkId id, std::size_t bytes, ChunkTier tier);
     void demote(ChunkId id, Result &result);
     void dropFromSsd(ChunkId id, Result &result);
     /** Make @p bytes of headroom in @p tier. */
@@ -156,6 +178,9 @@ class TieredChunkCache
     std::size_t ssd_bytes_ = 0;
     std::uint64_t access_seq_ = 0;
     std::map<ChunkId, Entry> entries_;
+    /** Every entry of each tier, in LRU-2 eviction order. */
+    std::set<Lru2Key> ram_order_;
+    std::set<Lru2Key> ssd_order_;
 };
 
 } // namespace catalyzer::snapshot

@@ -13,6 +13,12 @@ constexpr std::size_t kFetchChunkPages = 1024;
 
 } // namespace
 
+ImageStore::~ImageStore()
+{
+    for (auto &[k, image] : local_)
+        image->file().detachResidency();
+}
+
 std::string
 ImageStore::key(const std::string &name, ImageFormat format)
 {
@@ -47,7 +53,7 @@ ImageStore::publish(std::shared_ptr<FuncImage> image)
         }
     }
     // The producing machine has it locally by construction.
-    local_[k] = std::move(image);
+    setLocal(k, std::move(image));
     ctx_.stats().incr("snapshot.images_published");
 }
 
@@ -77,6 +83,25 @@ ImageStore::applyCacheResult(const TieredChunkCache::Result &result)
         if (chunks_ != nullptr)
             chunks_->dropChunkHolder(id, self_);
     }
+}
+
+void
+ImageStore::setLocal(const std::string &k,
+                     std::shared_ptr<FuncImage> image)
+{
+    std::shared_ptr<FuncImage> &slot = local_[k];
+    if (slot)
+        slot->file().detachResidency();
+    image->file().attachResidency(&local_resident_pages_);
+    slot = std::move(image);
+}
+
+void
+ImageStore::eraseLocal(
+    std::map<std::string, std::shared_ptr<FuncImage>>::iterator it)
+{
+    it->second->file().detachResidency();
+    local_.erase(it);
 }
 
 bool
@@ -308,7 +333,7 @@ ImageStore::fetch(const std::string &function_name, ImageFormat format,
         if (staleLocal(k)) {
             // A republish replaced this key cluster-wide since we
             // cached it: drop the stale copy and refetch.
-            local_.erase(lit);
+            eraseLocal(lit);
             ctx_.stats().incr("image.fetch.stale_drops");
         } else {
             ctx_.stats().incr("snapshot.image_local_hits");
@@ -335,7 +360,7 @@ ImageStore::fetch(const std::string &function_name, ImageFormat format,
     ctx_.stats().incr("snapshot.image_remote_fetches");
     ctx_.stats().incr("image.fetch.remote");
     ctx_.charge(ctx_.costs().imageManifestParse);
-    local_[k] = rit->second;
+    setLocal(k, rit->second);
     if (replicas_ != nullptr)
         local_stamp_[k] = replicas_->keyVersion(k);
     return rit->second;
@@ -359,17 +384,18 @@ void
 ImageStore::evictLocal(const std::string &function_name,
                        ImageFormat format)
 {
-    if (local_.erase(key(function_name, format)) > 0)
-        ctx_.stats().incr("image.evictions");
+    auto it = local_.find(key(function_name, format));
+    if (it == local_.end())
+        return;
+    eraseLocal(it);
+    ctx_.stats().incr("image.evictions");
 }
 
 std::size_t
 ImageStore::residentBytes() const
 {
-    std::size_t bytes = chunk_cache_.ramBytes();
-    for (const auto &[k, image] : local_)
-        bytes += mem::bytesForPages(image->file().residentPages());
-    return bytes;
+    return chunk_cache_.ramBytes() +
+           mem::bytesForPages(local_resident_pages_);
 }
 
 std::size_t
@@ -385,7 +411,7 @@ ImageStore::reclaimFunction(const std::string &function_name)
         bytes +=
             mem::bytesForPages(it->second->file().residentPages());
         it->second->file().evict();
-        local_.erase(it);
+        eraseLocal(it);
         ctx_.stats().incr("image.evictions");
     }
     return bytes;

@@ -46,6 +46,11 @@ class ImageStore
 {
   public:
     explicit ImageStore(sim::SimContext &ctx) : ctx_(ctx) {}
+    /** Detaches the local images' files, which may outlive the store. */
+    ~ImageStore();
+
+    ImageStore(const ImageStore &) = delete;
+    ImageStore &operator=(const ImageStore &) = delete;
 
     /**
      * Publish an image to remote storage (checkpoint side, offline).
@@ -191,6 +196,14 @@ class ImageStore
     /** True when the cluster replaced this key since we cached it. */
     bool staleLocal(const std::string &k) const;
 
+    /** Cache @p image locally under @p k; its file joins
+     *  local_resident_pages_ (and a replaced image's file leaves). */
+    void setLocal(const std::string &k, std::shared_ptr<FuncImage> image);
+
+    /** Drop one local copy; its file leaves local_resident_pages_. */
+    void eraseLocal(
+        std::map<std::string, std::shared_ptr<FuncImage>>::iterator it);
+
     sim::SimContext &ctx_;
     faults::FaultInjector *injector_ = nullptr;
     net::Fabric *fabric_ = nullptr;
@@ -201,6 +214,9 @@ class ImageStore
     std::unique_ptr<net::Fabric> own_fabric_;
     std::map<std::string, std::shared_ptr<FuncImage>> remote_;
     std::map<std::string, std::shared_ptr<FuncImage>> local_;
+    /** Page-cache residency summed over local_'s image files, kept
+     *  current by the files themselves (BackingFile::attachResidency). */
+    std::size_t local_resident_pages_ = 0;
     /** Serialized working-set manifests, keyed by function name. */
     std::map<std::string, std::string> manifests_;
     ChunkStoreConfig chunk_config_;

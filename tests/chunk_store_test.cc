@@ -230,5 +230,216 @@ TEST(ChunkStoreTest, DisabledChunkingTouchesNoChunkCounters)
             << name;
 }
 
+/**
+ * Reference twin of TieredChunkCache with the linear LRU-2 victim scan
+ * the cache used before it kept a per-tier ordered index: a walk of
+ * every entry in id order for the oldest (prev, last).
+ */
+class LinearLru2Cache
+{
+  public:
+    using Result = TieredChunkCache::Result;
+
+    void configure(std::size_t ram_budget, std::size_t ssd_budget)
+    {
+        ram_budget_ = ram_budget;
+        ssd_budget_ = ssd_budget;
+    }
+
+    ChunkTier tierOf(ChunkId id) const
+    {
+        auto it = entries_.find(id);
+        return it == entries_.end() ? ChunkTier::None : it->second.tier;
+    }
+
+    void touch(ChunkId id)
+    {
+        auto it = entries_.find(id);
+        if (it == entries_.end())
+            return;
+        it->second.prev = it->second.last;
+        it->second.last = ++access_seq_;
+    }
+
+    Result insert(ChunkId id, std::size_t bytes)
+    {
+        Result result;
+        auto it = entries_.find(id);
+        if (it != entries_.end() && it->second.tier == ChunkTier::Ram) {
+            touch(id);
+            return result;
+        }
+        if (bytes > ram_budget_) {
+            if (it == entries_.end()) {
+                makeRoom(ChunkTier::Ssd, bytes, result);
+                if (bytes <= ssd_budget_) {
+                    entries_[id] = Entry{bytes, ChunkTier::Ssd, 0, 0};
+                    ssd_bytes_ += bytes;
+                    touch(id);
+                } else {
+                    result.dropped.push_back(id);
+                }
+            } else {
+                touch(id);
+            }
+            return result;
+        }
+        if (it != entries_.end()) {
+            ssd_bytes_ -= it->second.bytes;
+            it->second.tier = ChunkTier::Ram;
+            ram_bytes_ += it->second.bytes;
+            touch(id);
+            makeRoom(ChunkTier::Ram, 0, result);
+            return result;
+        }
+        makeRoom(ChunkTier::Ram, bytes, result);
+        entries_[id] = Entry{bytes, ChunkTier::Ram, 0, 0};
+        ram_bytes_ += bytes;
+        touch(id);
+        return result;
+    }
+
+    Result demoteAll()
+    {
+        Result result;
+        std::vector<ChunkId> ram_ids;
+        for (const auto &[id, e] : entries_)
+            if (e.tier == ChunkTier::Ram)
+                ram_ids.push_back(id);
+        for (ChunkId id : ram_ids)
+            demote(id, result);
+        return result;
+    }
+
+    std::size_t ramBytes() const { return ram_bytes_; }
+    std::size_t ssdBytes() const { return ssd_bytes_; }
+    std::size_t chunkCount() const { return entries_.size(); }
+
+  private:
+    struct Entry
+    {
+        std::size_t bytes = 0;
+        ChunkTier tier = ChunkTier::None;
+        std::uint64_t last = 0;
+        std::uint64_t prev = 0;
+    };
+
+    ChunkId victim(ChunkTier tier) const
+    {
+        ChunkId best = 0;
+        bool found = false;
+        std::uint64_t best_prev = 0, best_last = 0;
+        for (const auto &[id, e] : entries_) {
+            if (e.tier != tier)
+                continue;
+            if (!found || e.prev < best_prev ||
+                (e.prev == best_prev && e.last < best_last)) {
+                best = id;
+                best_prev = e.prev;
+                best_last = e.last;
+                found = true;
+            }
+        }
+        if (!found)
+            ADD_FAILURE() << "no victim in tier";
+        return best;
+    }
+
+    void dropFromSsd(ChunkId id, Result &result)
+    {
+        auto it = entries_.find(id);
+        ssd_bytes_ -= it->second.bytes;
+        entries_.erase(it);
+        result.dropped.push_back(id);
+    }
+
+    void demote(ChunkId id, Result &result)
+    {
+        Entry &e = entries_.at(id);
+        const std::size_t bytes = e.bytes;
+        ram_bytes_ -= bytes;
+        if (bytes > ssd_budget_) {
+            entries_.erase(id);
+            result.dropped.push_back(id);
+            return;
+        }
+        e.tier = ChunkTier::Ssd;
+        ssd_bytes_ += bytes;
+        ++result.demotions;
+        makeRoom(ChunkTier::Ssd, 0, result);
+    }
+
+    void makeRoom(ChunkTier tier, std::size_t bytes, Result &result)
+    {
+        if (tier == ChunkTier::Ram) {
+            while (ram_bytes_ + bytes > ram_budget_ && ram_bytes_ > 0)
+                demote(victim(ChunkTier::Ram), result);
+        } else {
+            while (ssd_bytes_ + bytes > ssd_budget_ && ssd_bytes_ > 0)
+                dropFromSsd(victim(ChunkTier::Ssd), result);
+        }
+    }
+
+    std::size_t ram_budget_ = 0;
+    std::size_t ssd_budget_ = 0;
+    std::size_t ram_bytes_ = 0;
+    std::size_t ssd_bytes_ = 0;
+    std::uint64_t access_seq_ = 0;
+    std::map<ChunkId, Entry> entries_;
+};
+
+TEST(ChunkStoreTest, VictimIndexMatchesLinearLru2Scan)
+{
+    // Tiny budgets (a handful of chunks per tier) so nearly every
+    // insert reshuffles both tiers. Most chunks are touched once
+    // between evictions, so many share prev = 0 and the tie-breaks
+    // decide. A few chunks exceed the RAM budget (straight to SSD)
+    // and one exceeds the SSD budget (never kept on SSD). Seed 4 gives
+    // SSD less room than RAM, so demoting that chunk drops it.
+    constexpr std::size_t kUnit = 4096;
+    constexpr ChunkId kIds = 40;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(seed);
+        sim::Rng rng(seed);
+        const std::size_t ram = (4 + rng.uniformInt(4)) * kUnit;
+        const std::size_t ssd =
+            seed == 4 ? 3 * kUnit : (8 + rng.uniformInt(8)) * kUnit;
+        std::vector<std::size_t> size(kIds);
+        for (ChunkId id = 0; id < kIds; ++id)
+            size[id] = (1 + rng.uniformInt(3)) * kUnit;
+        size[7] = ram + kUnit;
+        size[13] = ram + 2 * kUnit;
+        size[21] = ssd + kUnit;
+
+        TieredChunkCache cache;
+        LinearLru2Cache twin;
+        cache.configure(ram, ssd);
+        twin.configure(ram, ssd);
+        for (int step = 0; step < 3000; ++step) {
+            const ChunkId id = rng.uniformInt(kIds);
+            const double dice = rng.uniform();
+            TieredChunkCache::Result got, want;
+            if (dice < 0.6) {
+                got = cache.insert(id, size[id]);
+                want = twin.insert(id, size[id]);
+            } else if (dice < 0.97) {
+                cache.touch(id);
+                twin.touch(id);
+            } else {
+                got = cache.demoteAll();
+                want = twin.demoteAll();
+            }
+            ASSERT_EQ(got.dropped, want.dropped) << "step " << step;
+            ASSERT_EQ(got.demotions, want.demotions) << "step " << step;
+            for (ChunkId other = 0; other < kIds; ++other)
+                ASSERT_EQ(cache.tierOf(other), twin.tierOf(other))
+                    << "step " << step << " chunk " << other;
+            ASSERT_EQ(cache.ramBytes(), twin.ramBytes());
+            ASSERT_EQ(cache.ssdBytes(), twin.ssdBytes());
+            ASSERT_EQ(cache.chunkCount(), twin.chunkCount());
+        }
+    }
+}
+
 } // namespace
 } // namespace catalyzer::snapshot

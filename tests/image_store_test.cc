@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 
 #include "catalyzer/runtime.h"
 #include "net/fabric.h"
@@ -344,6 +346,136 @@ TEST(ImageStoreTest, CorruptManifestDropsBeforeRepublish)
     auto fetched = store.fetchManifest("c-hello");
     ASSERT_NE(fetched, nullptr);
     EXPECT_EQ(fetched->imageGeneration(), 2u);
+}
+
+/**
+ * Randomized audit of ImageStore's running page-cache count. Two
+ * machines share a replica directory so republishing a new generation
+ * on one turns the other's copy stale. The test remembers which image
+ * each store holds locally and, after every publish, fetch (stale drop
+ * included), evictLocal, reclaimFunction, page-cache fill and file
+ * evict(), checks residentBytes() against the per-image sum the store
+ * used to compute. It ends by destroying a store before its images
+ * and filling their page caches afterwards.
+ */
+TEST(ImageStoreTest, ResidentBytesMatchesPerImageSumUnderRandomOps)
+{
+    net::Fabric fabric;
+    remote::TemplateRegistry directory(&fabric);
+    Machine m0(21), m1(22);
+    Machine *machines[2] = {&m0, &m1};
+    FunctionRegistry f0(m0), f1(m1);
+    FunctionRegistry *registries[2] = {&f0, &f1};
+    std::unique_ptr<ImageStore> stores[2] = {
+        std::make_unique<ImageStore>(m0.ctx()),
+        std::make_unique<ImageStore>(m1.ctx())};
+    ChunkStoreConfig chunked;
+    chunked.enabled = true;
+    chunked.ramBudgetBytes = 4u << 20;
+    stores[1]->configureChunks(chunked);
+    for (net::NodeId i = 0; i < 2; ++i)
+        stores[i]->attachFabric(&fabric, i, &directory);
+
+    const char *functions[] = {"c-hello", "python-hello"};
+    const auto format = ImageFormat::SeparatedWellFormed;
+    // Every image ever built, with its machine, and each store's
+    // local copies as the test expects them.
+    std::vector<std::pair<std::shared_ptr<FuncImage>, int>> built;
+    std::map<std::string, std::shared_ptr<FuncImage>> local[2];
+
+    auto perImageSum = [&](int s) {
+        std::size_t bytes = stores[s]->chunkCache().ramBytes();
+        for (const auto &[name, image] : local[s])
+            bytes += mem::bytesForPages(image->file().residentPages());
+        return bytes;
+    };
+    auto fillPages = [&](sim::Rng &rng) {
+        const auto &[image, m] = built[rng.uniformInt(built.size())];
+        sim::SimContext &ctx = machines[m]->ctx();
+        for (int k = 0; k < 8; ++k) {
+            const auto page = static_cast<mem::PageIndex>(
+                rng.uniformInt(image->totalPages()));
+            if (rng.uniform() < 0.5)
+                image->file().frameFor(ctx, page, rng.uniform() < 0.5);
+            else
+                image->file().prefetchFrame(ctx, page, nullptr);
+        }
+    };
+
+    sim::Rng rng(2024);
+    for (int step = 0; step < 400; ++step) {
+        const int s = static_cast<int>(rng.uniformInt(2));
+        const std::string fn = functions[rng.uniformInt(2)];
+        ImageStore &store = *stores[s];
+        const double dice = rng.uniform();
+        if (dice < 0.15) {
+            // Publish; sometimes a rebuilt (new-generation) image.
+            auto &artifacts =
+                registries[s]->artifactsFor(apps::appByName(fn));
+            if (artifacts.separatedImage && rng.uniform() < 0.3)
+                artifacts.separatedImage.reset();
+            const bool fresh = !artifacts.separatedImage;
+            auto image = sandbox::ensureSeparatedImage(artifacts);
+            if (fresh)
+                built.emplace_back(image, s);
+            store.publish(image);
+            local[s][fn] = image;
+        } else if (dice < 0.35) {
+            auto image = store.fetch(fn, format);
+            if (image) {
+                local[s][fn] = image;
+            } else {
+                EXPECT_FALSE(store.publishedRemotely(fn, format));
+            }
+        } else if (dice < 0.45) {
+            store.evictLocal(fn, format);
+            local[s].erase(fn);
+        } else if (dice < 0.55) {
+            const std::size_t want =
+                local[s].contains(fn)
+                    ? mem::bytesForPages(
+                          local[s][fn]->file().residentPages())
+                    : 0;
+            EXPECT_EQ(store.reclaimFunction(fn), want);
+            local[s].erase(fn);
+        } else if (!built.empty() && dice < 0.9) {
+            fillPages(rng);
+        } else if (!built.empty()) {
+            built[rng.uniformInt(built.size())].first->file().evict();
+        }
+        for (int i = 0; i < 2; ++i) {
+            for (const char *name : functions)
+                ASSERT_EQ(stores[i]->cachedLocally(name, format),
+                          local[i].contains(name))
+                    << "step " << step;
+            ASSERT_EQ(stores[i]->residentBytes(), perImageSum(i))
+                << "store " << i << " step " << step;
+        }
+    }
+    EXPECT_GT(m0.ctx().stats().value("image.fetch.stale_drops") +
+                  m1.ctx().stats().value("image.fetch.stale_drops"),
+              0);
+    EXPECT_GT(stores[0]->residentBytes(), 0u);
+
+    // A store destroyed before its images: they keep filling and
+    // evicting without reporting to it (ASan checks the writes).
+    stores[1].reset();
+    for (int k = 0; k < 20; ++k)
+        fillPages(rng);
+    for (auto &[image, m] : built)
+        image->file().evict();
+    EXPECT_EQ(stores[0]->residentBytes(),
+              stores[0]->chunkCache().ramBytes());
+}
+
+TEST(ImageStoreDeathTest, ImageCachedByTwoStoresPanics)
+{
+    Machine machine(23);
+    FunctionRegistry registry(machine);
+    ImageStore a(machine.ctx()), b(machine.ctx());
+    auto image = buildImage(registry, "c-hello");
+    a.publish(image);
+    EXPECT_DEATH(b.publish(image), "residency already attached");
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+
 #include "platform/platform.h"
 
 namespace catalyzer::platform {
@@ -162,6 +165,147 @@ TEST(PlatformTtlTest, ExpireIdleHonorsAge)
     machine.ctx().clock().advance(20_s);
     EXPECT_EQ(plat.expireIdle(10_s), 1u);
     EXPECT_EQ(plat.idleCount(), 0u);
+}
+
+/**
+ * ImageStore::residentBytes() the way it was summed before the store
+ * kept a running count: the chunk RAM tier plus the page-cache pages
+ * of every locally cached image. On a platform the local copy of a
+ * function's image is the function's own separated image.
+ */
+std::size_t
+imageResidencyByScan(ServerlessPlatform &plat,
+                     const std::vector<std::string> &functions)
+{
+    auto &images = plat.catalyzer().images();
+    std::size_t bytes = images.chunkCache().ramBytes();
+    for (const auto &name : functions) {
+        if (!images.cachedLocally(
+                name, snapshot::ImageFormat::SeparatedWellFormed))
+            continue;
+        sandbox::FunctionArtifacts *fn = plat.registry().find(name);
+        bytes += mem::bytesForPages(
+            fn->separatedImage->file().residentPages());
+    }
+    return bytes;
+}
+
+/**
+ * Randomized audit of the platform's O(1) bookkeeping. A shadow model
+ * keeps what a full walk of the pools would see (each parked
+ * instance's park time, per function, oldest first) and after every
+ * boot, reuse, retain, TTL or pressure expiry, teardown and memory
+ * reclaim the test checks that
+ *  - totalInstances() and idleCount() equal a walk of instancesOf();
+ *  - expireIdle() reclaims exactly what an unconditional scan of the
+ *    idle pools would;
+ *  - the image store's residentBytes() equals the per-image sum.
+ * Zygote prewarm is off, so nothing charges the clock after an
+ * instance parks and the clock at invoke() return is its park time.
+ */
+TEST(PlatformCounterAudit, CountersMatchAFullScanUnderRandomOps)
+{
+    struct Setup
+    {
+        BootStrategy strategy;
+        bool reuse;
+        bool chunked;
+    };
+    for (const Setup setup : {Setup{BootStrategy::CatalyzerCold, true, false},
+                              Setup{BootStrategy::CatalyzerAuto, true, true},
+                              Setup{BootStrategy::CatalyzerWarm, false,
+                                    false}}) {
+        SCOPED_TRACE(bootStrategyName(setup.strategy));
+        Machine machine(99);
+        PlatformConfig config;
+        config.strategy = setup.strategy;
+        config.reuseIdleInstances = setup.reuse;
+        core::CatalyzerOptions options;
+        options.remoteImages = true;
+        options.zygotePrewarm = 0;
+        options.chunkedImages.enabled = setup.chunked;
+        options.chunkedImages.ramBudgetBytes = 8u << 20;
+        ServerlessPlatform plat(machine, config, options);
+        const std::vector<std::string> functions = {
+            "c-hello", "python-hello", "ds-text", "nodejs-hello"};
+        for (const auto &fn : functions)
+            plat.deploy(apps::appByName(fn));
+
+        std::map<std::string, std::deque<sim::SimTime>> idle;
+        std::map<std::string, std::size_t> running;
+        sim::Rng rng(setup.reuse ? 5 : 6);
+        std::size_t expired = 0, reclaimed_bytes = 0;
+        for (int step = 0; step < 300; ++step) {
+            const std::string &fn =
+                functions[rng.uniformInt(functions.size())];
+            const double dice = rng.uniform();
+            auto &clock = machine.ctx().clock();
+            if (dice < 0.5) {
+                const InvocationRecord rec = plat.invoke(fn);
+                if (setup.reuse) {
+                    EXPECT_EQ(rec.reusedInstance, !idle[fn].empty());
+                    if (!idle[fn].empty())
+                        idle[fn].pop_back();
+                    idle[fn].push_back(clock.now());
+                } else {
+                    ++running[fn];
+                }
+            } else if (dice < 0.7) {
+                clock.advance(sim::SimTime::milliseconds(
+                    rng.uniform(0.0, 40.0)));
+            } else if (dice < 0.85) {
+                // Mostly keep-alive TTLs; one in four is the
+                // autoscaler's 1 ms pressure expiry.
+                const sim::SimTime ttl =
+                    rng.uniform() < 0.25
+                        ? sim::SimTime::milliseconds(1.0)
+                        : sim::SimTime::milliseconds(
+                              rng.uniform(0.0, 120.0));
+                const sim::SimTime now = clock.now();
+                std::size_t want = 0;
+                for (auto &[name, parked] : idle) {
+                    while (!parked.empty() &&
+                           now - parked.front() > ttl) {
+                        parked.pop_front();
+                        ++want;
+                    }
+                }
+                EXPECT_EQ(plat.expireIdle(ttl), want) << "step " << step;
+                expired += want;
+            } else if (dice < 0.93) {
+                plat.teardown(fn);
+                idle.erase(fn);
+                running.erase(fn);
+            } else {
+                const bool live = !idle[fn].empty() || running[fn] > 0;
+                const std::size_t released =
+                    plat.reclaimFunctionMemory(fn);
+                if (live) {
+                    EXPECT_EQ(released, 0u);
+                }
+                reclaimed_bytes += released;
+            }
+
+            std::size_t walked = 0, want_idle = 0, want_running = 0;
+            for (const auto &name : functions)
+                walked += plat.instancesOf(name).size();
+            for (const auto &[name, parked] : idle)
+                want_idle += parked.size();
+            for (const auto &[name, n] : running)
+                want_running += n;
+            ASSERT_EQ(plat.totalInstances(), walked) << "step " << step;
+            ASSERT_EQ(walked, want_idle + want_running);
+            ASSERT_EQ(plat.idleCount(), want_idle) << "step " << step;
+            ASSERT_EQ(plat.catalyzer().images().residentBytes(),
+                      imageResidencyByScan(plat, functions))
+                << "step " << step;
+        }
+        if (setup.reuse) {
+            EXPECT_GT(expired, 0u);
+        }
+        EXPECT_GT(reclaimed_bytes, 0u);
+        EXPECT_GT(plat.catalyzer().images().residentBytes(), 0u);
+    }
 }
 
 } // namespace
