@@ -31,6 +31,216 @@ constexpr std::size_t kRemotePullBatchPages = 32;
  *  runtime template. */
 constexpr double kLanguageTemplateCoreFraction = 0.8;
 
+/**
+ * Sandbox acquisition from the Zygote pool: the boot's state lands in
+ * a pre-built, generic sandbox (Sec. 4.1), so nothing is constructed on
+ * the path.
+ */
+std::unique_ptr<SandboxInstance>
+acquireZygote(ZygotePool &zygotes, FunctionArtifacts &fn,
+              const std::string &name, BootKind kind, BootReport &report,
+              sim::Stopwatch &watch)
+{
+    std::unique_ptr<SandboxInstance> inst;
+    {
+        trace::ScopedSpan span(report.trace(), "sandbox-acquire");
+        span.attr("mechanism", "zygote");
+        Zygote z = zygotes.acquire(span.context());
+        inst = std::make_unique<SandboxInstance>(fn.machine(), fn, name,
+                                                 *z.proc, kind);
+        inst->setGuest(std::move(z.guest));
+    }
+    report.addSandboxStage("zygote-acquire", watch.elapsed(),
+                           /*emit_span=*/false);
+    watch.restart();
+    return inst;
+}
+
+/**
+ * Specialize: append the function config, import its binaries and
+ * mount the function rootfs over the base. Returns where the binary
+ * is mapped.
+ */
+mem::PageIndex
+specialize(SandboxInstance &inst, BootReport &report, sim::Stopwatch &watch)
+{
+    FunctionArtifacts &fn = inst.artifacts();
+    const apps::AppProfile &app = fn.app();
+    auto &ctx = inst.machine().ctx();
+    const auto &costs = ctx.costs();
+    ctx.charge(costs.zygoteAppendConfig);
+    const std::size_t binary_mib =
+        mem::bytesForPages(app.binaryPages) >> 20;
+    ctx.charge(costs.zygoteImportPerMiB *
+               static_cast<std::int64_t>(std::max<std::size_t>(
+                   binary_mib, 1)));
+    const mem::PageIndex binary_va = inst.space().mapFile(
+        fn.binary(), 0, app.binaryPages, mem::MapKind::FilePrivate,
+        false, "binary");
+    inst.guest().mountRootfs(1);
+    inst.setRootfs(std::make_unique<vfs::OverlayRootfs>(
+        ctx, fn.fsServer()));
+    report.addSandboxStage("specialize", watch.elapsed());
+    watch.restart();
+    return binary_va;
+}
+
+/**
+ * Separated state recovery: stage-1 map + stage-2 parallel fix-up of
+ * the relation table, then establish non-I/O kernel state. With
+ * @p separated off (ablation) the objects are deserialized one by one
+ * on the path instead. @p cold_cache marks the arena pages' first
+ * touch as a page-cache miss.
+ */
+void
+recoverSeparatedState(SandboxInstance &inst,
+                      const snapshot::FuncImage &image,
+                      mem::PageIndex base_va, bool separated,
+                      bool cold_cache, BootReport &report,
+                      sim::Stopwatch &watch)
+{
+    auto &ctx = inst.machine().ctx();
+    const auto &costs = ctx.costs();
+    const objgraph::SeparatedImage &sep = image.separated();
+    {
+        trace::ScopedSpan span(report.trace(), "separated-state-fixup");
+        span.attr("separated", separated ? "true" : "false");
+        span.attr("objects",
+                  static_cast<std::int64_t>(sep.objectCount()));
+        span.attr("relocs", static_cast<std::int64_t>(sep.relocCount()));
+        const trace::TraceContext fctx = span.context();
+        if (!separated) {
+            // Ablation: one-by-one deserialization on the path.
+            const auto n = static_cast<std::int64_t>(sep.objectCount());
+            ctx.chargeCounted("restore.deserialized_objects",
+                              costs.deserializeObject * n, n);
+        }
+        objgraph::ObjectGraph graph = sep.reconstruct(fctx);
+        const auto nobjects =
+            static_cast<std::int64_t>(graph.objectCount());
+        if (separated) {
+            const auto nrelocs = static_cast<std::int64_t>(sep.relocCount());
+            ctx.chargeParallel(costs.relationFixupPerPointer, nrelocs);
+            ctx.stats().incr("catalyzer.pointer_fixups", nrelocs);
+            // Stage-2 dirties the pointer-bearing arena pages: real COW
+            // faults against the shared image mapping (Table 3's cost).
+            const mem::PageIndex arena_va =
+                base_va + image.metadataSectionStart();
+            for (std::uint64_t rel : sep.pointerPageList())
+                inst.space().touch(arena_va + rel, /*write=*/true,
+                                   cold_cache);
+            ctx.chargeParallel(costs.redoObject, nobjects);
+            ctx.charge(costs.redoObjectSequentialPart * nobjects);
+        } else {
+            ctx.charge((costs.redoObject +
+                        costs.redoObjectSequentialPart) *
+                       nobjects);
+        }
+        inst.guest().setState(std::move(graph));
+        for (int i = 0; i < inst.artifacts().app().blockingThreads; ++i)
+            inst.guest().threads().addBlockingThread();
+    }
+    report.addAppStage("recover-kernel", watch.elapsed(),
+                       /*emit_span=*/false);
+    watch.restart();
+}
+
+/**
+ * I/O: copy the checkpointed connection table and reconnect lazily or,
+ * with @p lazy off (ablation), eagerly. @p use_startup_set re-establishes
+ * the I/O cache's startup set on the path; @p record_startup_set fills
+ * an empty cache from this boot's table.
+ */
+void
+reconnectIo(SandboxInstance &inst, const snapshot::FuncImage &image,
+            bool lazy, bool use_startup_set, bool record_startup_set,
+            faults::FaultInjector &injector, BootReport &report,
+            sim::Stopwatch &watch)
+{
+    FunctionArtifacts &fn = inst.artifacts();
+    auto &ctx = inst.machine().ctx();
+    vfs::IoConnectionTable &io = inst.guest().io();
+    {
+        trace::ScopedSpan span(report.trace(), "io-reconnect");
+        span.attr("lazy", lazy ? "true" : "false");
+        span.attr("connections",
+                  static_cast<std::int64_t>(image.ioTable().size()));
+        const trace::TraceContext ictx = span.context();
+        io.cloneFrom(image.ioTable());
+        io.dropAll();
+        if (!lazy) {
+            // Eager ablation: a connection whose retries all fail stays
+            // down and re-establishes lazily at the first request.
+            for (auto &conn : io.all())
+                snapshot::reconnectWithRetry(ctx, conn, &fn.fsServer(),
+                                             &injector, ictx);
+        } else {
+            // Deferring is not free: each fd is tagged not-reopened and
+            // the async re-establishment is queued.
+            ctx.charge(ctx.costs().ioLazyMarkPerConn *
+                       static_cast<std::int64_t>(io.count()));
+            if (use_startup_set && !fn.ioCache.empty()) {
+                // The cache tells us which connections the function
+                // uses right after boot; re-establish exactly those on
+                // the path.
+                for (auto &conn : io.all()) {
+                    if (!conn.usedAtStartup)
+                        continue;
+                    if (!snapshot::reconnectWithRetry(
+                            ctx, conn, &fn.fsServer(), &injector,
+                            ictx)) {
+                        // Repeatedly failing entry: invalidate it so
+                        // later boots stop reconnecting it eagerly;
+                        // this boot degrades it to a lazy reconnect at
+                        // the first request.
+                        std::erase_if(
+                            fn.ioCache,
+                            [&](const vfs::IoConnection &cached) {
+                                return cached.path == conn.path;
+                            });
+                        ctx.stats().incr(
+                            "catalyzer.io_cache_invalidated");
+                        ctx.stats().incr(
+                            "boot.fallback.io_eager_lazy");
+                    }
+                }
+                span.attr("cache_hit", "true");
+                ctx.stats().incr("catalyzer.io_cache_hits");
+            }
+        }
+        if (record_startup_set && lazy && fn.ioCache.empty()) {
+            // A first boot records the deterministic startup set.
+            for (const auto &conn : io.all()) {
+                if (conn.usedAtStartup)
+                    fn.ioCache.push_back(conn);
+            }
+        }
+        inst.guest().syncFdTable();
+    }
+    report.addAppStage("reconnect-io", watch.elapsed(),
+                       /*emit_span=*/false);
+}
+
+/**
+ * Finish a restored instance: its memory layout over the image mapped
+ * at @p base_va, the preparation work a warmed image already carries,
+ * its thread count and its boot latency.
+ */
+void
+finishRestore(SandboxInstance &inst, const snapshot::FuncImage &image,
+              mem::PageIndex binary_va, mem::PageIndex base_va,
+              const BootReport &report)
+{
+    inst.setMemoryLayout(binary_va, base_va + image.memorySectionStart(),
+                         image.state().memoryPages,
+                         /*heap_on_base=*/true);
+    // A warmed image (user-guided pre-initialization) carries the
+    // handler's preparation work; restored instances skip it.
+    inst.setPrepFraction(image.state().warmedPrepFraction);
+    inst.proc().setThreadCount(inst.guest().threads().totalThreads());
+    inst.setBootLatency(report.total());
+}
+
 } // namespace
 
 CatalyzerRuntime::CatalyzerRuntime(sandbox::Machine &machine,
@@ -115,8 +325,11 @@ CatalyzerRuntime::acquireImage(FunctionArtifacts &fn,
 
     if (options_.remoteImages) {
         // A freshly built image stands for one produced elsewhere: it
-        // goes to remote storage and this machine must fetch it.
-        if (!was_built) {
+        // goes to remote storage and this machine must fetch it. So
+        // does one built offline but never published (prepare()).
+        if (!was_built ||
+            !images_.publishedRemotely(
+                fn.app().name, snapshot::ImageFormat::SeparatedWellFormed)) {
             images_.publish(image);
             images_.evictLocal(fn.app().name,
                                snapshot::ImageFormat::SeparatedWellFormed);
@@ -211,7 +424,6 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
     const auto &costs = ctx.costs();
     const apps::AppProfile &app = fn.app();
 
-    sim::StatRegistry::incrGlobal("bench.boots");
     trace::ScopedSpan boot_span(
         trace, std::string("boot/Catalyzer-") + (warm ? "warm" : "cold"));
     boot_span.attr("function", app.name);
@@ -233,17 +445,8 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
     //
     std::unique_ptr<SandboxInstance> inst;
     if (warm) {
-        {
-            trace::ScopedSpan span(tctx, "sandbox-acquire");
-            span.attr("mechanism", "zygote");
-            Zygote z = zygotes_.acquire(span.context());
-            inst = std::make_unique<SandboxInstance>(
-                machine_, fn, app.name + "-" + tag, *z.proc,
-                BootKind::WarmRestore);
-            inst->setGuest(std::move(z.guest));
-        }
-        result.report.addSandboxStage("zygote-acquire", watch.elapsed(),
-                                      /*emit_span=*/false);
+        inst = acquireZygote(zygotes_, fn, app.name + "-" + tag,
+                             BootKind::WarmRestore, result.report, watch);
     } else {
         {
             trace::ScopedSpan span(tctx, "sandbox-acquire");
@@ -257,27 +460,10 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
         result.report.addSandboxStage("construct-sandbox",
                                       watch.elapsed(),
                                       /*emit_span=*/false);
+        watch.restart();
     }
-    watch.restart();
-
-    //
-    // Specialize: append the function config, import its binaries and
-    // mount the function rootfs over the base.
-    //
-    ctx.charge(costs.zygoteAppendConfig);
-    const std::size_t binary_mib =
-        mem::bytesForPages(app.binaryPages) >> 20;
-    ctx.charge(costs.zygoteImportPerMiB *
-               static_cast<std::int64_t>(std::max<std::size_t>(
-                   binary_mib, 1)));
-    const mem::PageIndex binary_va = inst->space().mapFile(
-        fn.binary(), 0, app.binaryPages, mem::MapKind::FilePrivate,
-        false, "binary");
-    inst->guest().mountRootfs(1);
-    inst->setRootfs(std::make_unique<vfs::OverlayRootfs>(
-        ctx, fn.fsServer()));
-    result.report.addSandboxStage("specialize", watch.elapsed());
-    watch.restart();
+    const mem::PageIndex binary_va =
+        specialize(*inst, result.report, watch);
 
     //
     // Overlay memory: map the func-image (cold) or share the live
@@ -300,12 +486,11 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
         }
         base_va = inst->space().attachBase(fn.sharedBase);
     }
-    const mem::PageIndex heap_va = base_va + image->memorySectionStart();
-    const std::size_t heap_pages = image->state().memoryPages;
     if (!options_.overlayMemory) {
         // Ablation: eagerly fault and copy the whole memory section.
-        inst->space().touchRange(heap_va, heap_pages, /*write=*/true,
-                                 cold_cache);
+        inst->space().touchRange(base_va + image->memorySectionStart(),
+                                 image->state().memoryPages,
+                                 /*write=*/true, cold_cache);
     }
     result.report.addAppStage(warm ? "share-mapping" : "map-image",
                               watch.elapsed(), /*emit_span=*/false);
@@ -363,132 +548,14 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
         inst->armWorkingSetRecorder(std::move(recorder));
     }
 
-    //
-    // Separated state recovery: stage-1 map + stage-2 parallel fix-up,
-    // then establish non-I/O kernel state.
-    //
-    {
-        trace::ScopedSpan span(tctx, "separated-state-fixup");
-        span.attr("separated",
-                  options_.separatedState ? "true" : "false");
-        span.attr("objects", static_cast<std::int64_t>(
-                                 image->separated().objectCount()));
-        span.attr("relocs", static_cast<std::int64_t>(
-                                image->separated().relocCount()));
-        const trace::TraceContext fctx = span.context();
-        objgraph::ObjectGraph graph = options_.separatedState
-            ? image->separated().reconstruct(fctx)
-            : [&] {
-                  // Ablation: one-by-one deserialization on the path.
-                  const auto n = static_cast<std::int64_t>(
-                      image->separated().objectCount());
-                  ctx.chargeCounted("restore.deserialized_objects",
-                                    costs.deserializeObject * n, n);
-                  return image->separated().reconstruct(fctx);
-              }();
-        const auto nobjects =
-            static_cast<std::int64_t>(graph.objectCount());
-        if (options_.separatedState) {
-            const auto nrelocs = static_cast<std::int64_t>(
-                image->separated().relocCount());
-            ctx.chargeParallel(costs.relationFixupPerPointer, nrelocs);
-            ctx.stats().incr("catalyzer.pointer_fixups", nrelocs);
-            // Stage-2 dirties the pointer-bearing arena pages: real COW
-            // faults against the shared image mapping (Table 3's cost).
-            const mem::PageIndex arena_va =
-                base_va + image->metadataSectionStart();
-            for (std::uint64_t rel :
-                 image->separated().pointerPageList())
-                inst->space().touch(arena_va + rel, /*write=*/true,
-                                    cold_cache);
-            ctx.chargeParallel(costs.redoObject, nobjects);
-            ctx.charge(costs.redoObjectSequentialPart * nobjects);
-        } else {
-            ctx.charge((costs.redoObject +
-                        costs.redoObjectSequentialPart) *
-                       nobjects);
-        }
-        inst->guest().setState(std::move(graph));
-        for (int i = 0; i < app.blockingThreads; ++i)
-            inst->guest().threads().addBlockingThread();
-    }
-    result.report.addAppStage("recover-kernel", watch.elapsed(),
-                              /*emit_span=*/false);
-    watch.restart();
-
-    //
-    // I/O: copy the checkpointed connection table; reconnect lazily
-    // (guided by the I/O cache on warm boots) or eagerly (ablation).
-    //
-    {
-        trace::ScopedSpan span(tctx, "io-reconnect");
-        span.attr("lazy",
-                  options_.lazyIoReconnection ? "true" : "false");
-        span.attr("connections",
-                  static_cast<std::int64_t>(image->ioTable().size()));
-        const trace::TraceContext ictx = span.context();
-        inst->guest().io().cloneFrom(image->ioTable());
-        inst->guest().io().dropAll();
-        if (!options_.lazyIoReconnection) {
-            // Eager ablation: a connection whose retries all fail stays
-            // down and re-establishes lazily at the first request.
-            for (auto &conn : inst->guest().io().all())
-                snapshot::reconnectWithRetry(ctx, conn, &fn.fsServer(),
-                                             &injector_, ictx);
-        } else {
-            // Deferring is not free: each fd is tagged not-reopened and
-            // the async re-establishment is queued.
-            ctx.charge(costs.ioLazyMarkPerConn *
-                       static_cast<std::int64_t>(
-                           inst->guest().io().count()));
-            if (warm && !fn.ioCache.empty()) {
-                // The cache tells us which connections the function
-                // uses right after boot; re-establish exactly those on
-                // the path.
-                for (auto &conn : inst->guest().io().all()) {
-                    if (!conn.usedAtStartup)
-                        continue;
-                    if (!snapshot::reconnectWithRetry(
-                            ctx, conn, &fn.fsServer(), &injector_,
-                            ictx)) {
-                        // Repeatedly failing entry: invalidate it so
-                        // later boots stop reconnecting it eagerly;
-                        // this boot degrades it to a lazy reconnect at
-                        // the first request.
-                        std::erase_if(
-                            fn.ioCache,
-                            [&](const vfs::IoConnection &cached) {
-                                return cached.path == conn.path;
-                            });
-                        ctx.stats().incr(
-                            "catalyzer.io_cache_invalidated");
-                        ctx.stats().incr(
-                            "boot.fallback.io_eager_lazy");
-                    }
-                }
-                span.attr("cache_hit", "true");
-                ctx.stats().incr("catalyzer.io_cache_hits");
-            }
-        }
-        if (!warm && options_.lazyIoReconnection && fn.ioCache.empty()) {
-            // First cold boot records the deterministic startup set.
-            for (const auto &conn : inst->guest().io().all()) {
-                if (conn.usedAtStartup)
-                    fn.ioCache.push_back(conn);
-            }
-        }
-        inst->guest().syncFdTable();
-    }
-    result.report.addAppStage("reconnect-io", watch.elapsed(),
-                              /*emit_span=*/false);
-
-    inst->setMemoryLayout(binary_va, heap_va, heap_pages,
-                          /*heap_on_base=*/true);
-    // A warmed image (user-guided pre-initialization) carries the
-    // handler's preparation work; restored instances skip it.
-    inst->setPrepFraction(image->state().warmedPrepFraction);
-    inst->proc().setThreadCount(inst->guest().threads().totalThreads());
-    inst->setBootLatency(result.report.total());
+    recoverSeparatedState(*inst, *image, base_va, options_.separatedState,
+                          cold_cache, result.report, watch);
+    // Warm boots reconnect the I/O cache's startup set on the path; a
+    // first cold boot records it.
+    reconnectIo(*inst, *image, options_.lazyIoReconnection,
+                /*use_startup_set=*/warm, /*record_startup_set=*/!warm,
+                injector_, result.report, watch);
+    finishRestore(*inst, *image, binary_va, base_va, result.report);
     fn.firstRestoreDone = true;
     ctx.stats().incr(warm ? "catalyzer.warm_boots"
                           : "catalyzer.cold_boots");
@@ -580,7 +647,6 @@ CatalyzerRuntime::bootFork(FunctionArtifacts &fn,
         throw faults::FaultError(faults::FaultSite::TemplateDeath,
                                  fn.app().name + " template died");
     }
-    sim::StatRegistry::incrGlobal("bench.boots");
     trace::ScopedSpan boot_span(trace, "boot/Catalyzer-sfork");
     boot_span.attr("function", fn.app().name);
     BootResult result;
@@ -617,7 +683,6 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
                                      " unreachable");
     }
 
-    sim::StatRegistry::incrGlobal("bench.boots");
     trace::ScopedSpan boot_span(trace, "boot/Catalyzer-remote-sfork");
     boot_span.attr("function", app.name);
     boot_span.attr("peer", static_cast<std::int64_t>(src.peer));
@@ -660,40 +725,14 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     watch.restart();
 
     //
-    // Sandbox acquisition: the borrowed state lands in a specialized
-    // local Zygote.
+    // The borrowed state lands in a local Zygote, specialized exactly as
+    // a local restore would.
     //
-    std::unique_ptr<SandboxInstance> inst;
-    {
-        trace::ScopedSpan span(tctx, "sandbox-acquire");
-        span.attr("mechanism", "zygote");
-        Zygote z = zygotes_.acquire(span.context());
-        inst = std::make_unique<SandboxInstance>(
-            machine_, fn, app.name + "-" + tag, *z.proc,
-            BootKind::ForkBoot);
-        inst->setGuest(std::move(z.guest));
-    }
-    result.report.addSandboxStage("zygote-acquire", watch.elapsed(),
-                                  /*emit_span=*/false);
-    watch.restart();
-
-    //
-    // Specialize, exactly as a local restore would.
-    //
-    ctx.charge(costs.zygoteAppendConfig);
-    const std::size_t binary_mib =
-        mem::bytesForPages(app.binaryPages) >> 20;
-    ctx.charge(costs.zygoteImportPerMiB *
-               static_cast<std::int64_t>(std::max<std::size_t>(
-                   binary_mib, 1)));
-    const mem::PageIndex binary_va = inst->space().mapFile(
-        fn.binary(), 0, app.binaryPages, mem::MapKind::FilePrivate,
-        false, "binary");
-    inst->guest().mountRootfs(1);
-    inst->setRootfs(std::make_unique<vfs::OverlayRootfs>(
-        ctx, fn.fsServer()));
-    result.report.addSandboxStage("specialize", watch.elapsed());
-    watch.restart();
+    std::unique_ptr<SandboxInstance> inst =
+        acquireZygote(zygotes_, fn, app.name + "-" + tag,
+                      BootKind::ForkBoot, result.report, watch);
+    const mem::PageIndex binary_va =
+        specialize(*inst, result.report, watch);
 
     //
     // Remote overlay: a Base-EPT over a *local mirror* of the lender's
@@ -733,8 +772,6 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
         }
         base_va = inst->space().attachBase(fn.remoteBase);
     }
-    const mem::PageIndex heap_va = base_va + image->memorySectionStart();
-    const std::size_t heap_pages = image->state().memoryPages;
     result.report.addAppStage("map-remote-image", watch.elapsed(),
                               /*emit_span=*/false);
     watch.restart();
@@ -747,29 +784,24 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     if (src.manifest && src.manifest->usable() &&
         src.manifest->matches(image->generation())) {
         trace::ScopedSpan span(tctx, "remote-prefetch");
-        std::vector<mem::PageIndex> stable = src.manifest->stableSet();
-        std::size_t pulled = 0;
+        const std::vector<mem::PageIndex> stable =
+            src.manifest->stableSet();
+        std::vector<mem::PageIndex> missing;
         for (mem::PageIndex page : stable) {
-            if (page >= image->totalPages() ||
-                fn.remoteBase->lookup(page))
-                continue;
-            ++pulled;
+            if (page < image->totalPages() && !fn.remoteBase->lookup(page))
+                missing.push_back(page);
         }
+        const auto pulled = static_cast<std::int64_t>(missing.size());
         span.attr("stable_pages",
                   static_cast<std::int64_t>(stable.size()));
-        span.attr("pulled_pages", static_cast<std::int64_t>(pulled));
+        span.attr("pulled_pages", pulled);
         if (pulled > 0) {
             src.fabric->transfer(ctx, src.peer, src.self,
-                                 mem::bytesForPages(pulled),
+                                 mem::bytesForPages(missing.size()),
                                  "working-set", span.context());
-            for (mem::PageIndex page : stable) {
-                if (page >= image->totalPages() ||
-                    fn.remoteBase->lookup(page))
-                    continue;
+            for (mem::PageIndex page : missing)
                 fn.remoteBase->populatePrefetched(ctx, page);
-            }
-            ctx.stats().incr("remote.prefetch_pages",
-                             static_cast<std::int64_t>(pulled));
+            ctx.stats().incr("remote.prefetch_pages", pulled);
         }
         result.report.addAppStage("remote-prefetch", watch.elapsed(),
                                   /*emit_span=*/false);
@@ -810,29 +842,12 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
 
     //
     // I/O: connections never survive a machine boundary — everything
-    // reconnects on this machine (lazily unless ablated).
+    // reconnects on this machine (lazily unless ablated), and the I/O
+    // cache describes the local restore path, not this one.
     //
-    {
-        trace::ScopedSpan span(tctx, "io-reconnect");
-        span.attr("lazy",
-                  options_.lazyIoReconnection ? "true" : "false");
-        span.attr("connections",
-                  static_cast<std::int64_t>(image->ioTable().size()));
-        inst->guest().io().cloneFrom(image->ioTable());
-        inst->guest().io().dropAll();
-        if (!options_.lazyIoReconnection) {
-            for (auto &conn : inst->guest().io().all())
-                snapshot::reconnectWithRetry(ctx, conn, &fn.fsServer(),
-                                             &injector_, span.context());
-        } else {
-            ctx.charge(costs.ioLazyMarkPerConn *
-                       static_cast<std::int64_t>(
-                           inst->guest().io().count()));
-        }
-        inst->guest().syncFdTable();
-    }
-    result.report.addAppStage("reconnect-io", watch.elapsed(),
-                              /*emit_span=*/false);
+    reconnectIo(*inst, *image, options_.lazyIoReconnection,
+                /*use_startup_set=*/false, /*record_startup_set=*/false,
+                injector_, result.report, watch);
 
     //
     // Everything the boot did not pull stays remote: install the pager
@@ -846,12 +861,7 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
         ctx, *src.fabric, src.self, src.peer, base_va,
         image->totalPages(), &injector_, kRemotePullBatchPages,
         tctx, peer_ctx));
-
-    inst->setMemoryLayout(binary_va, heap_va, heap_pages,
-                          /*heap_on_base=*/true);
-    inst->setPrepFraction(image->state().warmedPrepFraction);
-    inst->proc().setThreadCount(inst->guest().threads().totalThreads());
-    inst->setBootLatency(result.report.total());
+    finishRestore(*inst, *image, binary_va, base_va, result.report);
     ctx.stats().incr("catalyzer.remote_fork_boots");
     ctx.stats().incr("remote.fork_hits");
     ctx.stats().observe("boot.latency.Catalyzer-remote-sfork",
@@ -872,7 +882,6 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     const apps::AppProfile &app = fn.app();
     SandboxInstance &tmpl = ensureLanguageTemplate(app.language);
 
-    sim::StatRegistry::incrGlobal("bench.boots");
     trace::ScopedSpan boot_span(trace, "boot/Catalyzer-lang-template");
     boot_span.attr("function", app.name);
     boot_span.attr("language", apps::languageName(app.language));
@@ -944,13 +953,9 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     return result;
 }
 
-SandboxInstance &
-CatalyzerRuntime::ensureTemplate(FunctionArtifacts &fn)
+std::unique_ptr<SandboxInstance>
+CatalyzerRuntime::bringUpTemplate(FunctionArtifacts &fn)
 {
-    auto it = templates_.find(fn.app().name);
-    if (it != templates_.end())
-        return *it->second;
-
     // Offline template initialization: restore an instance to the
     // func-entry point. The template is a *running* sandbox, so its I/O
     // connections come up (offline) before it collapses into the
@@ -964,6 +969,17 @@ CatalyzerRuntime::ensureTemplate(FunctionArtifacts &fn)
                                      &fn.fsServer(), &injector_);
     tmpl->guest().threads().enterTransientSingleThread();
     tmpl->proc().setThreadCount(1);
+    return tmpl;
+}
+
+SandboxInstance &
+CatalyzerRuntime::ensureTemplate(FunctionArtifacts &fn)
+{
+    auto it = templates_.find(fn.app().name);
+    if (it != templates_.end())
+        return *it->second;
+
+    std::unique_ptr<SandboxInstance> tmpl = bringUpTemplate(fn);
     machine_.ctx().stats().incr("catalyzer.templates_built");
     auto &ref = *tmpl;
     templates_.emplace(fn.app().name, std::move(tmpl));
@@ -988,13 +1004,7 @@ CatalyzerRuntime::ensureLanguageTemplate(apps::Language lang)
     const apps::AppProfile &base = apps::appByName(kBaseApp.at(lang));
     FunctionArtifacts &base_fn = lang_registry_.artifactsFor(base);
 
-    BootResult boot = bootRestore(base_fn, /*warm=*/false);
-    std::unique_ptr<SandboxInstance> tmpl = std::move(boot.instance);
-    for (auto &conn : tmpl->guest().io().all())
-        snapshot::reconnectWithRetry(machine_.ctx(), conn,
-                                     &base_fn.fsServer(), &injector_);
-    tmpl->guest().threads().enterTransientSingleThread();
-    tmpl->proc().setThreadCount(1);
+    std::unique_ptr<SandboxInstance> tmpl = bringUpTemplate(base_fn);
     machine_.ctx().stats().incr("catalyzer.lang_templates_built");
     auto &ref = *tmpl;
     lang_templates_.emplace(lang, std::move(tmpl));

@@ -225,6 +225,12 @@ class CatalyzerRuntime
     sforkFrom(sandbox::SandboxInstance &tmpl,
               sandbox::FunctionArtifacts &fn, sandbox::BootReport &report,
               const char *tag, trace::TraceContext trace = {});
+    /**
+     * Restore @p fn offline and collapse it into a sforkable template:
+     * I/O reconnected, threads in the transient single-thread state.
+     */
+    std::unique_ptr<sandbox::SandboxInstance>
+    bringUpTemplate(sandbox::FunctionArtifacts &fn);
     sandbox::SandboxInstance &ensureTemplate(sandbox::FunctionArtifacts &fn);
     sandbox::SandboxInstance &
     ensureLanguageTemplate(apps::Language lang);

@@ -9,6 +9,25 @@ namespace catalyzer::load {
 
 namespace {
 
+/**
+ * Functions with rank >= kBurstyRankFloor use MMPP on-off arrivals
+ * instead of plain Poisson (the idle-then-spiky long tail). The
+ * fleet-wide expected request count is unchanged: MMPP parameters
+ * are derived from each function's mean rate.
+ */
+constexpr std::size_t kBurstyRankFloor = 64;
+constexpr double kBurstMeanOnSec = 0.5;
+constexpr double kBurstMeanOffSec = 4.5;
+
+/** Diurnal scenario: peak-to-mean swing of each tenant's rate curve. */
+constexpr double kDiurnalAmplitude = 0.8;
+
+/** TenantChurn scenario: the rotating share of tenants that carries
+ *  the traffic each epoch, and the trickle (as a share of base rate)
+ *  the inactive tenants keep. */
+constexpr double kChurnActiveFraction = 0.25;
+constexpr double kChurnTrickleFraction = 0.02;
+
 /** Independent per-function generator: a splitmix-style mix of the
  *  scenario seed and the function index, so adding a function never
  *  perturbs any other function's sub-stream. */
@@ -27,11 +46,11 @@ appendSteady(sim::Rng &rng, const FleetFunction &fn,
 {
     if (fn.baseRps <= 0.0)
         return;
-    if (fn.rank >= spec.burstyRankFloor) {
+    if (fn.rank >= kBurstyRankFloor) {
         appendMmppTimes(rng,
                         MmppParams::withMeanRate(fn.baseRps,
-                                                 spec.burstMeanOnSec,
-                                                 spec.burstMeanOffSec),
+                                                 kBurstMeanOnSec,
+                                                 kBurstMeanOffSec),
                         spec.durationSec, out);
     } else {
         appendPoissonTimes(rng, fn.baseRps, spec.durationSec, out);
@@ -80,8 +99,7 @@ appendChurn(sim::Rng &rng, const FleetFunction &fn,
 {
     if (fn.baseRps <= 0.0 || spec.churnEpochSec <= 0.0)
         return;
-    const double active_frac =
-        std::clamp(spec.churnActiveFraction, 0.01, 1.0);
+    const double active_frac = kChurnActiveFraction;
     const std::size_t active_count = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                std::ceil(active_frac * static_cast<double>(tenants))));
@@ -100,7 +118,7 @@ appendChurn(sim::Rng &rng, const FleetFunction &fn,
         // traffic their idle peers give up.
         const double rate =
             active ? fn.baseRps / active_frac
-                   : fn.baseRps * spec.churnTrickleFraction;
+                   : fn.baseRps * kChurnTrickleFraction;
         if (rate > 0.0) {
             double a = t;
             for (;;) {
@@ -151,7 +169,7 @@ generateFleetStream(const Population &population, const TrafficSpec &spec)
           case Scenario::Diurnal: {
             DiurnalCurve curve;
             curve.baseRate = fn.baseRps;
-            curve.amplitude = spec.diurnalAmplitude;
+            curve.amplitude = kDiurnalAmplitude;
             curve.periodSec = spec.diurnalPeriodSec;
             // Tenants peak at different times of "day".
             curve.phase = 6.283185307179586 *

@@ -43,18 +43,7 @@ struct TrafficSpec
     double durationSec = 30.0;
     std::uint64_t seed = 7;
 
-    /**
-     * Functions with rank >= burstyRankFloor use MMPP on-off arrivals
-     * instead of plain Poisson (the idle-then-spiky long tail). The
-     * fleet-wide expected request count is unchanged: MMPP parameters
-     * are derived from each function's mean rate.
-     */
-    std::size_t burstyRankFloor = 64;
-    double burstMeanOnSec = 0.5;
-    double burstMeanOffSec = 4.5;
-
     // Diurnal scenario.
-    double diurnalAmplitude = 0.8;
     double diurnalPeriodSec = 20.0;
 
     // FlashCrowd scenario: the flashFunctions coldest functions ramp
@@ -66,11 +55,9 @@ struct TrafficSpec
     double flashRpsPerFunction = 40.0;
     std::size_t flashFunctions = 32;
 
-    // TenantChurn scenario: every epoch a rotating churnActiveFraction
-    // of tenants carries the traffic; inactive tenants keep a trickle.
+    // TenantChurn scenario: every epoch a rotating share of tenants
+    // carries the traffic; inactive tenants keep a trickle.
     double churnEpochSec = 8.0;
-    double churnActiveFraction = 0.25;
-    double churnTrickleFraction = 0.02;
 
     /**
      * Stateful-workflow side stream: a Poisson process at workflowRps

@@ -7,6 +7,15 @@
 
 namespace catalyzer::objgraph {
 
+namespace {
+
+/** Mean payload size per synthesized object, bytes. */
+constexpr double kMeanPayloadBytes = 96.0;
+/** Mean refs per pointer-bearing synthesized object. */
+constexpr double kMeanRefsPerObject = 3.0;
+
+} // namespace
+
 const char *
 objectKindName(ObjectKind kind)
 {
@@ -200,13 +209,13 @@ ObjectGraph::synthesize(sim::Rng &rng, const GraphSpec &spec)
     for (const auto &batch : batches) {
         for (std::size_t i = 0; i < batch.count; ++i) {
             const auto payload = static_cast<std::uint32_t>(
-                std::max(16.0, rng.exponential(spec.meanPayloadBytes)));
+                std::max(16.0, rng.exponential(kMeanPayloadBytes)));
             std::vector<std::uint64_t> refs;
             const std::uint64_t next_id = graph.objectCount() + 1;
             if (next_id > 1 && rng.chance(spec.pointerBearingFraction)) {
                 const auto nrefs = static_cast<std::size_t>(
                     1 + rng.uniformInt(static_cast<std::uint64_t>(
-                            std::max(1.0, spec.meanRefsPerObject * 2 - 1))));
+                            std::max(1.0, kMeanRefsPerObject * 2 - 1))));
                 refs.reserve(nrefs);
                 for (std::size_t r = 0; r < nrefs; ++r)
                     refs.push_back(1 + rng.uniformInt(next_id - 1));

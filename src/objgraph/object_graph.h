@@ -60,12 +60,8 @@ struct GraphSpec
     std::size_t memoryRegions = 48;
     std::size_t miscObjects = 800;
 
-    /** Mean payload size per object, bytes. */
-    double meanPayloadBytes = 96.0;
     /** Fraction of objects that carry outgoing pointers. */
     double pointerBearingFraction = 0.13;
-    /** Mean refs per pointer-bearing object. */
-    double meanRefsPerObject = 3.0;
 
     std::size_t
     totalObjects() const

@@ -6,6 +6,16 @@
 
 namespace catalyzer::platform {
 
+namespace {
+
+/** Multiplicative decay applied to counters at each rebalance. */
+constexpr double kDecay = 0.5;
+/** Counters decayed below this snap to zero (the function is cold;
+ *  pure multiplicative decay would otherwise never reach it). */
+constexpr double kColdFloor = 0.05;
+
+} // namespace
+
 const char *
 functionPriorityName(FunctionPriority priority)
 {
@@ -157,8 +167,8 @@ BootPolicyManager::rebalance()
 
     // Decay the traffic counters.
     for (auto &[name, state] : functions_) {
-        state.recentInvocations *= config_.decay;
-        if (state.recentInvocations < config_.coldFloor)
+        state.recentInvocations *= kDecay;
+        if (state.recentInvocations < kColdFloor)
             state.recentInvocations = 0.0;
     }
 

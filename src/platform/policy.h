@@ -37,11 +37,6 @@ struct PolicyConfig
     /** Invocations (since last rebalance) for a Normal function to be
      *  considered hot. */
     std::size_t hotThreshold = 4;
-    /** Multiplicative decay applied to counters at each rebalance. */
-    double decay = 0.5;
-    /** Counters decayed below this snap to zero (the function is cold;
-     *  pure multiplicative decay would otherwise never reach it). */
-    double coldFloor = 0.05;
     /**
      * When a function goes fully cold (no traffic, no live instances),
      * also release its shared Base-EPT and func-image page cache at

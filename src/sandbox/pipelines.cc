@@ -38,6 +38,27 @@ makeBareInstance(FunctionArtifacts &fn, BootKind kind, const char *tag)
     return inst;
 }
 
+namespace {
+
+/** Sentry init: the guest kernel, its mounts, the Go runtime and the
+ *  Sentry's own working memory. */
+void
+initSentry(SandboxInstance &inst)
+{
+    const auto &costs = inst.machine().ctx().costs();
+    inst.guest().initializeFresh();
+    inst.guest().mountRootfs(costs.guestMounts);
+    inst.guest().startGoRuntime();
+
+    // The Sentry's own working memory.
+    const auto self_pages = static_cast<std::size_t>(costs.sentrySelfPages);
+    const mem::PageIndex va =
+        inst.space().mapAnon(self_pages, true, "sentry-self");
+    inst.space().touchRange(va, self_pages, /*write=*/true);
+}
+
+} // namespace
+
 void
 constructGVisorSandbox(SandboxInstance &inst,
                        const hostos::KvmConfig &kvm_config,
@@ -58,15 +79,7 @@ constructGVisorSandbox(SandboxInstance &inst,
     }
 
     trace::ScopedSpan sentry_span(trace, "sentry-init");
-    inst.guest().initializeFresh();
-    inst.guest().mountRootfs(costs.guestMounts);
-    inst.guest().startGoRuntime();
-
-    // The Sentry's own working memory.
-    const auto self_pages = static_cast<std::size_t>(costs.sentrySelfPages);
-    const mem::PageIndex va =
-        inst.space().mapAnon(self_pages, true, "sentry-self");
-    inst.space().touchRange(va, self_pages, /*write=*/true);
+    initSentry(inst);
 }
 
 void
@@ -162,6 +175,38 @@ runApplicationInit(SandboxInstance &inst, BootReport &report,
 
 namespace {
 
+/**
+ * The gVisor (KVM platform) sandbox half shared by the fresh and the
+ * restore boots: parse the config, boot the sandbox process, create the
+ * kernel and platform, and the remaining runc work.
+ */
+std::unique_ptr<SandboxInstance>
+bootGVisorSandbox(FunctionArtifacts &fn, BootKind kind, const char *tag,
+                  BootReport &report)
+{
+    auto &ctx = fn.machine().ctx();
+    const auto &costs = ctx.costs();
+    sim::Stopwatch watch(ctx.clock());
+    ctx.charge(costs.parseConfig);
+    report.addSandboxStage("parse-config", watch.elapsed());
+    watch.restart();
+    auto inst = makeBareInstance(fn, kind, tag);
+    report.addSandboxStage("boot-sandbox-process", watch.elapsed());
+    watch.restart();
+    {
+        trace::ScopedSpan create_span(report.trace(),
+                                      "create-kernel-platform");
+        constructGVisorSandbox(*inst, hostos::KvmConfig{},
+                               create_span.context());
+    }
+    report.addSandboxStage("create-kernel-platform", watch.elapsed(),
+                           /*emit_span=*/false);
+    watch.restart();
+    ctx.charge(costs.gvisorRuncMisc);
+    report.addSandboxStage("runc-misc", watch.elapsed());
+    return inst;
+}
+
 /** Boot pipelines for the fresh-boot systems. */
 BootResult
 bootFresh(SandboxSystem system, FunctionArtifacts &fn,
@@ -226,29 +271,11 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
         app_factor = costs.firecrackerAppInitFactor;
         break;
       }
-      case SandboxSystem::GVisor: {
-        ctx.charge(costs.parseConfig);
-        result.report.addSandboxStage("parse-config", watch.elapsed());
-        watch.restart();
-        auto inst = makeBareInstance(fn, BootKind::ColdFresh, "gvisor");
-        result.report.addSandboxStage("boot-sandbox-process",
-                                      watch.elapsed());
-        watch.restart();
-        {
-            trace::ScopedSpan create_span(tctx, "create-kernel-platform");
-            constructGVisorSandbox(*inst, hostos::KvmConfig{},
-                                   create_span.context());
-        }
-        result.report.addSandboxStage("create-kernel-platform",
-                                      watch.elapsed(),
-                                      /*emit_span=*/false);
-        watch.restart();
-        ctx.charge(costs.gvisorRuncMisc);
-        result.report.addSandboxStage("runc-misc", watch.elapsed());
-        result.instance = std::move(inst);
+      case SandboxSystem::GVisor:
+        result.instance = bootGVisorSandbox(fn, BootKind::ColdFresh,
+                                            "gvisor", result.report);
         app_factor = costs.gvisorAppInitFactor;
         break;
-      }
       case SandboxSystem::GVisorPtrace: {
         // The ptrace platform skips all KVM setup but pays heavier
         // syscall interception during application init.
@@ -259,14 +286,7 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
         result.report.addSandboxStage("boot-sandbox-process",
                                       watch.elapsed());
         watch.restart();
-        inst->guest().initializeFresh();
-        inst->guest().mountRootfs(costs.guestMounts);
-        inst->guest().startGoRuntime();
-        const auto self_pages =
-            static_cast<std::size_t>(costs.sentrySelfPages);
-        const mem::PageIndex va =
-            inst->space().mapAnon(self_pages, true, "sentry-self");
-        inst->space().touchRange(va, self_pages, /*write=*/true);
+        initSentry(*inst);
         result.report.addSandboxStage("create-kernel", watch.elapsed());
         watch.restart();
         ctx.charge(costs.gvisorRuncMisc);
@@ -294,9 +314,7 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
 BootResult
 bootGVisorRestoreImpl(FunctionArtifacts &fn, trace::TraceContext trace)
 {
-    Machine &m = fn.machine();
-    auto &ctx = m.ctx();
-    const auto &costs = ctx.costs();
+    auto &ctx = fn.machine().ctx();
 
     // Offline: make sure the compressed checkpoint exists.
     auto image = ensureProtoImage(fn);
@@ -306,24 +324,8 @@ bootGVisorRestoreImpl(FunctionArtifacts &fn, trace::TraceContext trace)
     boot_span.attr("function", fn.app().name);
     const trace::TraceContext tctx = boot_span.context();
     result.report.bindTrace(tctx);
-    sim::Stopwatch watch(ctx.clock());
-
-    ctx.charge(costs.parseConfig);
-    result.report.addSandboxStage("parse-config", watch.elapsed());
-    watch.restart();
-    auto inst = makeBareInstance(fn, BootKind::ColdRestore, "gvr");
-    result.report.addSandboxStage("boot-sandbox-process", watch.elapsed());
-    watch.restart();
-    {
-        trace::ScopedSpan create_span(tctx, "create-kernel-platform");
-        constructGVisorSandbox(*inst, hostos::KvmConfig{},
-                               create_span.context());
-    }
-    result.report.addSandboxStage("create-kernel-platform",
-                                  watch.elapsed(), /*emit_span=*/false);
-    watch.restart();
-    ctx.charge(costs.gvisorRuncMisc);
-    result.report.addSandboxStage("runc-misc", watch.elapsed());
+    auto inst = bootGVisorSandbox(fn, BootKind::ColdRestore, "gvr",
+                                  result.report);
 
     // The restore engine emits its own (richer) spans for these stages.
     snapshot::EagerRestoreEngine engine(ctx);
@@ -355,7 +357,6 @@ bootSandbox(SandboxSystem system, FunctionArtifacts &fn,
     BootResult result = system == SandboxSystem::GVisorRestore
                             ? bootGVisorRestoreImpl(fn, trace)
                             : bootFresh(system, fn, trace);
-    sim::StatRegistry::incrGlobal("bench.boots");
     fn.machine().ctx().stats().observe(
         std::string("boot.latency.") + sandboxSystemName(system),
         result.report.total());

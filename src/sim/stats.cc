@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <ostream>
 
@@ -293,21 +292,6 @@ WindowedHistogram::indexFor(SimTime now) const
               static_cast<long long>(now.toNs()),
               static_cast<long long>(origin_.toNs()));
     return (now.toNs() - origin_.toNs()) / window_length_.toNs();
-}
-
-StatRegistry &
-StatRegistry::global()
-{
-    static StatRegistry registry;
-    return registry;
-}
-
-void
-StatRegistry::incrGlobal(const std::string &name, std::int64_t delta)
-{
-    static std::mutex mu;
-    std::lock_guard<std::mutex> lock(mu);
-    global().incr(name, delta);
 }
 
 double

@@ -186,9 +186,9 @@ class WindowedHistogram
  * end-to-end invocation latency, ...). Cheap enough to leave enabled
  * everywhere.
  *
- * Each SimContext owns one registry (its machine's metrics);
- * StatRegistry::global() is the process-wide registry for aggregating
- * across machines or from code with no SimContext at hand.
+ * Each SimContext owns one registry (its machine's metrics). A
+ * registry is single-writer — its machine's worker thread — and takes
+ * no locks.
  */
 class StatRegistry
 {
@@ -278,18 +278,6 @@ class StatRegistry
      * Windows are in time order; empty windows are omitted (sparse).
      */
     void writeTimeSeriesJson(std::ostream &os) const;
-
-    /** The process-wide registry. */
-    static StatRegistry &global();
-
-    /**
-     * Thread-safe increment on the process-wide registry. Machine
-     * registries are single-writer (their machine's worker thread) and
-     * need no locking, but global() is shared by every machine — bench
-     * bookkeeping that fires on the boot path must go through here
-     * once machines run on parallel executor threads.
-     */
-    static void incrGlobal(const std::string &name, std::int64_t delta = 1);
 
   private:
     std::map<std::string, std::int64_t> counters_;

@@ -9,6 +9,14 @@ namespace catalyzer::snapshot {
 
 namespace {
 
+/**
+ * Fraction of app-heap and metadata pages drawn from language-shared
+ * libraries rather than function-private state. Calibrated against the
+ * cross-snapshot redundancy the serverless-snapshot studies measure
+ * (conservative end of their range).
+ */
+constexpr double kSharedLibFraction = 0.55;
+
 /** splitmix64 finalizer: the standard cheap 64-bit mixer. */
 std::uint64_t
 mix(std::uint64_t x)
@@ -84,9 +92,8 @@ struct ContentModel
 };
 
 ContentModel
-modelOf(const FuncImage &image, double shared_lib_fraction)
+modelOf(const FuncImage &image)
 {
-    const double frac = std::clamp(shared_lib_fraction, 0.0, 1.0);
     const apps::AppProfile &app = image.app();
     const std::size_t mem_pages = image.memorySectionPages();
     const std::size_t meta_pages = image.metadataSectionPages();
@@ -95,10 +102,10 @@ modelOf(const FuncImage &image, double shared_lib_fraction)
     m.runtimePages = std::min(mem_pages, app.runtimeHeapPages);
     const std::size_t app_pages = mem_pages - m.runtimePages;
     m.appSharedPages = static_cast<std::size_t>(
-        static_cast<double>(app_pages) * frac);
+        static_cast<double>(app_pages) * kSharedLibFraction);
     m.appUniquePages = app_pages - m.appSharedPages;
     m.metaSharedPages = static_cast<std::size_t>(
-        static_cast<double>(meta_pages) * frac);
+        static_cast<double>(meta_pages) * kSharedLibFraction);
     // Everything past the shared metadata — the function-private
     // metadata remainder plus the manifest page(s) — is unique tail.
     m.tailPages = image.totalPages() - m.runtimePages - app_pages -
@@ -120,8 +127,7 @@ modelOf(const FuncImage &image, double shared_lib_fraction)
 } // namespace
 
 std::vector<ImageChunk>
-chunkImage(const FuncImage &image, const sim::CostModel &costs,
-           double shared_lib_fraction)
+chunkImage(const FuncImage &image, const sim::CostModel &costs)
 {
     const std::size_t min_pages = std::max<std::size_t>(
         costs.chunkMinPages, 1);
@@ -133,7 +139,7 @@ chunkImage(const FuncImage &image, const sim::CostModel &costs,
         avg &= avg - 1;
     const std::uint64_t mask = avg - 1;
 
-    const ContentModel model = modelOf(image, shared_lib_fraction);
+    const ContentModel model = modelOf(image);
     const std::size_t total = model.totalPages();
     if (total != image.totalPages())
         sim::panic("chunkImage: content model covers %zu of %zu pages",

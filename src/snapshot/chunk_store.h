@@ -59,13 +59,6 @@ struct ChunkStoreConfig
     std::size_t ramBudgetBytes = 64u << 20;
     /** Local-SSD tier capacity (demotion target). */
     std::size_t ssdBudgetBytes = 512u << 20;
-    /**
-     * Fraction of app-heap and metadata pages drawn from language-
-     * shared libraries rather than function-private state. Calibrated
-     * against the cross-snapshot redundancy the serverless-snapshot
-     * studies measure (conservative end of their range).
-     */
-    double sharedLibFraction = 0.55;
 };
 
 /** One content-defined chunk of an image's page stream. */
@@ -83,8 +76,7 @@ struct ImageChunk
  * chunkMaxPages (the final chunk may run short).
  */
 std::vector<ImageChunk> chunkImage(const FuncImage &image,
-                                   const sim::CostModel &costs,
-                                   double shared_lib_fraction);
+                                   const sim::CostModel &costs);
 
 /** Which local tier serves a chunk. */
 enum class ChunkTier { None, Ram, Ssd };

@@ -65,8 +65,7 @@ ImageStore::chunkManifestFor(const std::string &k, const FuncImage &image)
         it->second.first != image.generation()) {
         chunk_manifests_[k] = {
             image.generation(),
-            chunkImage(image, ctx_.costs(),
-                       chunk_config_.sharedLibFraction)};
+            chunkImage(image, ctx_.costs())};
         it = chunk_manifests_.find(k);
     }
     return it->second.second;

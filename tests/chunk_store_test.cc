@@ -61,8 +61,8 @@ TEST(ChunkStoreTest, ChunkingIsDeterministicAndCoversTheImage)
     auto image = buildImage(registry, "python-django");
     const sim::CostModel &costs = machine.ctx().costs();
 
-    const auto first = chunkImage(*image, costs, 0.55);
-    const auto second = chunkImage(*image, costs, 0.55);
+    const auto first = chunkImage(*image, costs);
+    const auto second = chunkImage(*image, costs);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         EXPECT_EQ(first[i].id, second[i].id);
@@ -83,13 +83,14 @@ TEST(ChunkStoreTest, CutLengthsRespectTheConfiguredBounds)
     auto image = buildImage(registry, "java-specjbb");
     const sim::CostModel &costs = machine.ctx().costs();
 
-    const auto chunks = chunkImage(*image, costs, 0.55);
+    const auto chunks = chunkImage(*image, costs);
     ASSERT_GT(chunks.size(), 1u);
     for (std::size_t i = 0; i < chunks.size(); ++i) {
         EXPECT_LE(chunks[i].pages, costs.chunkMaxPages);
         // Only the tail chunk may come up short of the minimum.
-        if (i + 1 < chunks.size())
+        if (i + 1 < chunks.size()) {
             EXPECT_GE(chunks[i].pages, costs.chunkMinPages);
+        }
     }
 }
 
@@ -105,8 +106,8 @@ TEST(ChunkStoreTest, SameLanguageImagesShareRuntimeChunks)
     auto django = buildImage(registry, "python-django");
     const sim::CostModel &costs = machine.ctx().costs();
 
-    const auto hello_chunks = chunkImage(*hello, costs, 0.55);
-    const auto django_chunks = chunkImage(*django, costs, 0.55);
+    const auto hello_chunks = chunkImage(*hello, costs);
+    const auto django_chunks = chunkImage(*django, costs);
     const std::size_t shared =
         sharedBytes(hello_chunks, django_chunks);
     // Most of the smaller image is the shared interpreter.
@@ -121,8 +122,8 @@ TEST(ChunkStoreTest, CrossLanguageImagesShareAlmostNothing)
     auto python = buildImage(registry, "python-hello");
     const sim::CostModel &costs = machine.ctx().costs();
 
-    const auto c_chunks = chunkImage(*c, costs, 0.55);
-    const auto py_chunks = chunkImage(*python, costs, 0.55);
+    const auto c_chunks = chunkImage(*c, costs);
+    const auto py_chunks = chunkImage(*python, costs);
     const std::size_t shared = sharedBytes(c_chunks, py_chunks);
     EXPECT_LT(shared, chunkBytes(c_chunks) / 20);
 }
@@ -204,7 +205,7 @@ TEST(ChunkStoreTest, EvictedChunksLeaveTheClusterDirectory)
     for (const ImageChunk &chunk :
          chunkImage(*store.fetch("python-django",
                                  ImageFormat::SeparatedWellFormed),
-                    machine.ctx().costs(), config.sharedLibFraction)) {
+                    machine.ctx().costs())) {
         const bool cached =
             chunks.tierOf(chunk.id) != ChunkTier::None;
         EXPECT_EQ(directory.chunkHolderCount(chunk.id) > 0, cached);

@@ -203,6 +203,28 @@ imageResidencyByScan(ServerlessPlatform &plat,
  * Zygote prewarm is off, so nothing charges the clock after an
  * instance parks and the clock at invoke() return is its park time.
  */
+TEST(PlatformTest, PrepareWithRemoteImagesPublishesTheImage)
+{
+    // prepare() builds the separated image offline; with remote images
+    // that build stands for one made elsewhere, so the first boot must
+    // find it published and fetch it exactly once.
+    for (const BootStrategy strategy :
+         {BootStrategy::CatalyzerCold, BootStrategy::CatalyzerWarm}) {
+        SCOPED_TRACE(bootStrategyName(strategy));
+        Machine machine(7);
+        PlatformConfig config;
+        config.strategy = strategy;
+        core::CatalyzerOptions options;
+        options.remoteImages = true;
+        ServerlessPlatform plat(machine, config, options);
+        plat.prepare(apps::appByName("c-hello"));
+        plat.invoke("c-hello");
+        EXPECT_EQ(machine.ctx().stats().value(
+                      "snapshot.image_remote_fetches"),
+                  1);
+    }
+}
+
 TEST(PlatformCounterAudit, CountersMatchAFullScanUnderRandomOps)
 {
     struct Setup
@@ -229,7 +251,7 @@ TEST(PlatformCounterAudit, CountersMatchAFullScanUnderRandomOps)
         const std::vector<std::string> functions = {
             "c-hello", "python-hello", "ds-text", "nodejs-hello"};
         for (const auto &fn : functions)
-            plat.deploy(apps::appByName(fn));
+            plat.prepare(apps::appByName(fn));
 
         std::map<std::string, std::deque<sim::SimTime>> idle;
         std::map<std::string, std::size_t> running;
