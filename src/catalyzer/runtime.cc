@@ -811,34 +811,11 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     //
     // Separated state recovery against the mirrored metadata (already
     // local, so the fixup runs at memory speed like a local restore).
+    // The lender's image is always separated: the relation-table fixup
+    // runs whatever this machine's separatedState ablation says.
     //
-    {
-        trace::ScopedSpan span(tctx, "separated-state-fixup");
-        span.attr("separated",
-                  options_.separatedState ? "true" : "false");
-        span.attr("objects", static_cast<std::int64_t>(
-                                 image->separated().objectCount()));
-        const trace::TraceContext fctx = span.context();
-        objgraph::ObjectGraph graph = image->separated().reconstruct(fctx);
-        const auto nobjects =
-            static_cast<std::int64_t>(graph.objectCount());
-        const auto nrelocs = static_cast<std::int64_t>(
-            image->separated().relocCount());
-        ctx.chargeParallel(costs.relationFixupPerPointer, nrelocs);
-        ctx.stats().incr("catalyzer.pointer_fixups", nrelocs);
-        const mem::PageIndex arena_va =
-            base_va + image->metadataSectionStart();
-        for (std::uint64_t rel : image->separated().pointerPageList())
-            inst->space().touch(arena_va + rel, /*write=*/true);
-        ctx.chargeParallel(costs.redoObject, nobjects);
-        ctx.charge(costs.redoObjectSequentialPart * nobjects);
-        inst->guest().setState(std::move(graph));
-        for (int i = 0; i < app.blockingThreads; ++i)
-            inst->guest().threads().addBlockingThread();
-    }
-    result.report.addAppStage("recover-kernel", watch.elapsed(),
-                              /*emit_span=*/false);
-    watch.restart();
+    recoverSeparatedState(*inst, *image, base_va, /*separated=*/true,
+                          /*cold_cache=*/false, result.report, watch);
 
     //
     // I/O: connections never survive a machine boundary — everything

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "platform/cluster.h"
 #include "remote/template_registry.h"
 
@@ -93,6 +95,47 @@ TEST(RemoteForkTest, BorrowerForksFromPeerTemplate)
     // The lender machine was never charged.
     EXPECT_EQ(cluster.machine(0).ctx().stats().value("net.transfers"),
               0);
+}
+
+TEST(RemoteForkTest, FixupRunsTheRelationTableWhateverTheAblation)
+{
+    // The lender's image is always separated, so a borrower whose own
+    // options ablate separated state still runs the relation-table
+    // fixup, never the one-by-one deserialization, and says so.
+    core::CatalyzerOptions options;
+    options.separatedState = false;
+    Cluster cluster(2, PlacementPolicy::RoundRobin,
+                    PlatformConfig{BootStrategy::CatalyzerAuto}, options,
+                    sim::CostModel{}, 42, remoteForkFabric());
+    const apps::AppProfile &app = apps::appByName("python-django");
+    cluster.deploy(app);
+    cluster.platform(0).prepare(app);
+
+    auto record = cluster.platform(1).invoke("python-django");
+    ASSERT_EQ(record.tierServed, "remote-sfork");
+
+    const auto relocs = static_cast<std::int64_t>(
+        cluster.platform(0)
+            .registry()
+            .find("python-django")
+            ->separatedImage->separated()
+            .relocCount());
+    ASSERT_GT(relocs, 0);
+    auto &stats = cluster.machine(1).ctx().stats();
+    EXPECT_EQ(stats.value("catalyzer.pointer_fixups"), relocs);
+    EXPECT_EQ(stats.value("restore.deserialized_objects"), 0);
+
+    const auto spans = cluster.machine(1).tracer().snapshot();
+    const trace::Span *fixup = nullptr;
+    for (const trace::Span &span : spans) {
+        if (span.name == "separated-state-fixup")
+            fixup = &span;
+    }
+    ASSERT_NE(fixup, nullptr);
+    std::map<std::string, std::string> attrs(fixup->attributes.begin(),
+                                             fixup->attributes.end());
+    EXPECT_EQ(attrs["separated"], "true");
+    EXPECT_EQ(attrs["relocs"], std::to_string(relocs));
 }
 
 TEST(RemoteForkTest, DemandPullsCrossTheFabric)
