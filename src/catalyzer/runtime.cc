@@ -454,7 +454,8 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
             ctx.charge(costs.parseConfig);
             inst = sandbox::makeBareInstance(fn, BootKind::ColdRestore,
                                              tag.c_str());
-            sandbox::constructGVisorSandbox(*inst, ZygotePool::kvmConfig(),
+            sandbox::constructGVisorSandbox(inst->guest(), inst->space(),
+                                            ZygotePool::kvmConfig(),
                                             span.context());
         }
         result.report.addSandboxStage("construct-sandbox",
@@ -568,8 +569,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
 
 std::unique_ptr<SandboxInstance>
 CatalyzerRuntime::sforkFrom(SandboxInstance &tmpl, FunctionArtifacts &fn,
-                            BootReport &report, const char *tag,
-                            trace::TraceContext trace)
+                            BootReport &report, const char *tag)
 {
     auto &ctx = machine_.ctx();
     const auto &costs = ctx.costs();
@@ -584,7 +584,7 @@ CatalyzerRuntime::sforkFrom(SandboxInstance &tmpl, FunctionArtifacts &fn,
     opts.rerandomizeAslr = options_.aslrRerandomizeOnSfork;
     std::unique_ptr<SandboxInstance> inst;
     {
-        trace::ScopedSpan span(trace, "sfork");
+        trace::ScopedSpan span(report.trace(), "sfork");
         span.attr("template", tmpl.name());
         span.attr("rerandomize_aslr",
                   opts.rerandomizeAslr ? "true" : "false");
@@ -597,7 +597,7 @@ CatalyzerRuntime::sforkFrom(SandboxInstance &tmpl, FunctionArtifacts &fn,
                            /*emit_span=*/false);
     watch.restart();
 
-    trace::ScopedSpan expand_span(trace, "expand");
+    trace::ScopedSpan expand_span(report.trace(), "expand");
 
     // Guest state: the object graph and fd tables live in COWed memory;
     // the child re-expands its threads from the saved contexts and fixes
@@ -653,8 +653,7 @@ CatalyzerRuntime::bootFork(FunctionArtifacts &fn,
     result.report.bindTrace(boot_span.context());
     result.instance = sforkFrom(
         tmpl, fn, result.report,
-        ("fork" + std::to_string(boot_seq_++)).c_str(),
-        boot_span.context());
+        ("fork" + std::to_string(boot_seq_++)).c_str());
     result.instance->setBootLatency(result.report.total());
     machine_.ctx().stats().observe("boot.latency.Catalyzer-sfork",
                                    result.report.total());
@@ -866,8 +865,7 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     result.report.bindTrace(boot_span.context());
     result.instance = sforkFrom(
         tmpl, fn, result.report,
-        ("lang" + std::to_string(boot_seq_++)).c_str(),
-        boot_span.context());
+        ("lang" + std::to_string(boot_seq_++)).c_str());
     SandboxInstance &inst = *result.instance;
     sim::Stopwatch watch(ctx.clock());
 

@@ -224,7 +224,7 @@ class CatalyzerRuntime
     std::unique_ptr<sandbox::SandboxInstance>
     sforkFrom(sandbox::SandboxInstance &tmpl,
               sandbox::FunctionArtifacts &fn, sandbox::BootReport &report,
-              const char *tag, trace::TraceContext trace = {});
+              const char *tag);
     /**
      * Restore @p fn offline and collapse it into a sforkable template:
      * I/O reconnected, threads in the transient single-thread state.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sandbox/pipelines.h"
 #include "sim/logging.h"
 
 namespace catalyzer::core {
@@ -36,22 +37,9 @@ ZygotePool::build(trace::TraceContext trace)
     z.proc = &machine_.host().spawnProcess("zygote");
     z.guest = std::make_unique<guest::GuestKernel>(ctx, "zygote-kernel");
 
-    // Allocate virtualization resources with the tuned host.
-    hostos::KvmVm vm(ctx, kvmConfig());
-    vm.createVm();
-    for (int i = 0; i < 4; ++i)
-        vm.createVcpu();
-    vm.setUserMemoryRegions(costs.kvmMemoryRegions);
-
-    z.guest->initializeFresh();
-    z.guest->mountRootfs(costs.guestMounts); // base rootfs
-    z.guest->startGoRuntime();
-
-    // The Sentry's own working memory.
-    const auto self_pages = static_cast<std::size_t>(costs.sentrySelfPages);
-    const mem::PageIndex va =
-        z.proc->space().mapAnon(self_pages, true, "sentry-self");
-    z.proc->space().touchRange(va, self_pages, /*write=*/true);
+    // Virtualization resources with the tuned host, then the Sentry on
+    // the base rootfs; untraced, so all of it shows as zygote-build.
+    sandbox::constructGVisorSandbox(*z.guest, z.proc->space(), kvmConfig());
 
     z.proc->setThreadCount(z.guest->threads().totalThreads());
     ++built_;

@@ -43,29 +43,27 @@ namespace {
 /** Sentry init: the guest kernel, its mounts, the Go runtime and the
  *  Sentry's own working memory. */
 void
-initSentry(SandboxInstance &inst)
+initSentry(guest::GuestKernel &guest, mem::AddressSpace &space)
 {
-    const auto &costs = inst.machine().ctx().costs();
-    inst.guest().initializeFresh();
-    inst.guest().mountRootfs(costs.guestMounts);
-    inst.guest().startGoRuntime();
+    const auto &costs = guest.context().costs();
+    guest.initializeFresh();
+    guest.mountRootfs(costs.guestMounts);
+    guest.startGoRuntime();
 
     // The Sentry's own working memory.
     const auto self_pages = static_cast<std::size_t>(costs.sentrySelfPages);
-    const mem::PageIndex va =
-        inst.space().mapAnon(self_pages, true, "sentry-self");
-    inst.space().touchRange(va, self_pages, /*write=*/true);
+    const mem::PageIndex va = space.mapAnon(self_pages, true, "sentry-self");
+    space.touchRange(va, self_pages, /*write=*/true);
 }
 
 } // namespace
 
 void
-constructGVisorSandbox(SandboxInstance &inst,
+constructGVisorSandbox(guest::GuestKernel &guest, mem::AddressSpace &space,
                        const hostos::KvmConfig &kvm_config,
                        trace::TraceContext trace)
 {
-    Machine &m = inst.machine();
-    auto &ctx = m.ctx();
+    auto &ctx = guest.context();
     const auto &costs = ctx.costs();
 
     {
@@ -79,7 +77,7 @@ constructGVisorSandbox(SandboxInstance &inst,
     }
 
     trace::ScopedSpan sentry_span(trace, "sentry-init");
-    initSentry(inst);
+    initSentry(guest, space);
 }
 
 void
@@ -176,13 +174,13 @@ runApplicationInit(SandboxInstance &inst, BootReport &report,
 namespace {
 
 /**
- * The gVisor (KVM platform) sandbox half shared by the fresh and the
- * restore boots: parse the config, boot the sandbox process, create the
- * kernel and platform, and the remaining runc work.
+ * The gVisor sandbox half shared by the fresh, ptrace and restore boots:
+ * parse the config, boot the sandbox process, create the kernel (and,
+ * on the KVM platform, the VM), and the remaining runc work.
  */
 std::unique_ptr<SandboxInstance>
 bootGVisorSandbox(FunctionArtifacts &fn, BootKind kind, const char *tag,
-                  BootReport &report)
+                  bool kvm, BootReport &report)
 {
     auto &ctx = fn.machine().ctx();
     const auto &costs = ctx.costs();
@@ -193,14 +191,20 @@ bootGVisorSandbox(FunctionArtifacts &fn, BootKind kind, const char *tag,
     auto inst = makeBareInstance(fn, kind, tag);
     report.addSandboxStage("boot-sandbox-process", watch.elapsed());
     watch.restart();
-    {
-        trace::ScopedSpan create_span(report.trace(),
-                                      "create-kernel-platform");
-        constructGVisorSandbox(*inst, hostos::KvmConfig{},
-                               create_span.context());
+    if (kvm) {
+        {
+            trace::ScopedSpan create_span(report.trace(),
+                                          "create-kernel-platform");
+            constructGVisorSandbox(inst->guest(), inst->space(),
+                                   hostos::KvmConfig{},
+                                   create_span.context());
+        }
+        report.addSandboxStage("create-kernel-platform", watch.elapsed(),
+                               /*emit_span=*/false);
+    } else {
+        initSentry(inst->guest(), inst->space());
+        report.addSandboxStage("create-kernel", watch.elapsed());
     }
-    report.addSandboxStage("create-kernel-platform", watch.elapsed(),
-                           /*emit_span=*/false);
     watch.restart();
     ctx.charge(costs.gvisorRuncMisc);
     report.addSandboxStage("runc-misc", watch.elapsed());
@@ -272,29 +276,17 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
         break;
       }
       case SandboxSystem::GVisor:
-        result.instance = bootGVisorSandbox(fn, BootKind::ColdFresh,
-                                            "gvisor", result.report);
+        result.instance = bootGVisorSandbox(
+            fn, BootKind::ColdFresh, "gvisor", /*kvm=*/true, result.report);
         app_factor = costs.gvisorAppInitFactor;
         break;
-      case SandboxSystem::GVisorPtrace: {
+      case SandboxSystem::GVisorPtrace:
         // The ptrace platform skips all KVM setup but pays heavier
         // syscall interception during application init.
-        ctx.charge(costs.parseConfig);
-        result.report.addSandboxStage("parse-config", watch.elapsed());
-        watch.restart();
-        auto inst = makeBareInstance(fn, BootKind::ColdFresh, "gvpt");
-        result.report.addSandboxStage("boot-sandbox-process",
-                                      watch.elapsed());
-        watch.restart();
-        initSentry(*inst);
-        result.report.addSandboxStage("create-kernel", watch.elapsed());
-        watch.restart();
-        ctx.charge(costs.gvisorRuncMisc);
-        result.report.addSandboxStage("runc-misc", watch.elapsed());
-        result.instance = std::move(inst);
+        result.instance = bootGVisorSandbox(
+            fn, BootKind::ColdFresh, "gvpt", /*kvm=*/false, result.report);
         app_factor = costs.gvisorPtraceAppInitFactor;
         break;
-      }
       case SandboxSystem::GVisorRestore:
         sim::panic("bootFresh called for GVisorRestore");
     }
@@ -325,7 +317,7 @@ bootGVisorRestoreImpl(FunctionArtifacts &fn, trace::TraceContext trace)
     const trace::TraceContext tctx = boot_span.context();
     result.report.bindTrace(tctx);
     auto inst = bootGVisorSandbox(fn, BootKind::ColdRestore, "gvr",
-                                  result.report);
+                                  /*kvm=*/true, result.report);
 
     // The restore engine emits its own (richer) spans for these stages.
     snapshot::EagerRestoreEngine engine(ctx);

@@ -87,13 +87,15 @@ std::unique_ptr<SandboxInstance>
 makeBareInstance(FunctionArtifacts &fn, BootKind kind, const char *tag);
 
 /**
- * gVisor's "create and initialize kernel/platform" step: KVM VM + VCPUs
- * + memory regions, Sentry structures, guest mounts and the Go runtime.
- * Exposed so Catalyzer's Zygote construction can reuse it with its own
- * KVM configuration (PML off, kvcalloc cache on). Emits "kvm-setup" and
- * "sentry-init" child spans under @p trace.
+ * gVisor's "create and initialize kernel/platform" step for @p guest in
+ * the sandbox process's address space @p space: KVM VM + VCPUs + memory
+ * regions, Sentry structures, guest mounts and the Go runtime. Exposed
+ * so Catalyzer's cold restore and Zygote construction reuse it with
+ * their own KVM configuration (PML off, kvcalloc cache on). Emits
+ * "kvm-setup" and "sentry-init" child spans under @p trace.
  */
-void constructGVisorSandbox(SandboxInstance &inst,
+void constructGVisorSandbox(guest::GuestKernel &guest,
+                            mem::AddressSpace &space,
                             const hostos::KvmConfig &kvm_config,
                             trace::TraceContext trace = {});
 
