@@ -33,8 +33,7 @@ constexpr double kLanguageTemplateCoreFraction = 0.8;
 
 /**
  * Sandbox acquisition from the Zygote pool: the boot's state lands in
- * a pre-built, generic sandbox (Sec. 4.1), so nothing is constructed on
- * the path.
+ * a pre-built, generic sandbox, so nothing is constructed on the path.
  */
 std::unique_ptr<SandboxInstance>
 acquireZygote(ZygotePool &zygotes, FunctionArtifacts &fn,
@@ -108,14 +107,13 @@ recoverSeparatedState(SandboxInstance &inst,
         span.attr("objects",
                   static_cast<std::int64_t>(sep.objectCount()));
         span.attr("relocs", static_cast<std::int64_t>(sep.relocCount()));
-        const trace::TraceContext fctx = span.context();
         if (!separated) {
             // Ablation: one-by-one deserialization on the path.
             const auto n = static_cast<std::int64_t>(sep.objectCount());
             ctx.chargeCounted("restore.deserialized_objects",
                               costs.deserializeObject * n, n);
         }
-        objgraph::ObjectGraph graph = sep.reconstruct(fctx);
+        objgraph::ObjectGraph graph = sep.reconstruct(span.context());
         const auto nobjects =
             static_cast<std::int64_t>(graph.objectCount());
         if (separated) {
