@@ -99,10 +99,9 @@ appendChurn(sim::Rng &rng, const FleetFunction &fn,
 {
     if (fn.baseRps <= 0.0 || spec.churnEpochSec <= 0.0)
         return;
-    const double active_frac = kChurnActiveFraction;
     const std::size_t active_count = std::max<std::size_t>(
         1, static_cast<std::size_t>(
-               std::ceil(active_frac * static_cast<double>(tenants))));
+               std::ceil(kChurnActiveFraction * static_cast<double>(tenants))));
     double t = 0.0;
     std::size_t epoch = 0;
     while (t < spec.durationSec) {
@@ -117,7 +116,7 @@ appendChurn(sim::Rng &rng, const FleetFunction &fn,
         // Conserve fleet-wide rate: active tenants concentrate the
         // traffic their idle peers give up.
         const double rate =
-            active ? fn.baseRps / active_frac
+            active ? fn.baseRps / kChurnActiveFraction
                    : fn.baseRps * kChurnTrickleFraction;
         if (rate > 0.0) {
             double a = t;
