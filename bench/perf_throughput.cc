@@ -7,7 +7,7 @@
  * machine: boots per wall-second for cold / warm / sfork sweeps, raw
  * page-touch throughput on the memory substrate, host time per touched
  * page of an invoke-shaped strided working set, plus host time per
- * separated func-image build + first decode. It exists to keep the
+ * separated func-image build + first reconstruct. It exists to keep the
  * extent-based memory hot paths honest — the paper's scalability regime
  * (Fig. 15, 1000+ concurrent instances) is exactly where per-page
  * fault handling makes the simulator the bottleneck.
@@ -70,7 +70,7 @@ using Clock = std::chrono::steady_clock;
 /** Version of the BENCH_perf.json layout. */
 constexpr int kLedgerSchemaVersion = 1;
 
-/** SPECjbb-sized images built and decoded by the objgraph micro. */
+/** SPECjbb-sized images built and verified by the objgraph micro. */
 constexpr long kImageMicroBuilds = 20;
 
 /** Strided working-set micro: heap size, touch stride, children. */
@@ -282,8 +282,9 @@ stridedTouchMicro()
 /**
  * Func-image metadata micro: the offline separated-state build of a
  * SPECjbb-sized kernel object graph (37,838 objects, paper Sec. 2.2)
- * plus the first, uncached reconstruct() decode of each fresh image —
- * the work every cold image build pays on the host.
+ * plus the first reconstruct() of each fresh image, which verifies the
+ * arena and relation table against the checkpointed graph — the work
+ * every cold image build pays on the host.
  */
 void
 imageMicro(long images)
@@ -293,15 +294,15 @@ imageMicro(long images)
         rng, objgraph::GraphSpec::scaledTo(37838));
 
     const auto start = Clock::now();
-    std::size_t decoded = 0;
+    std::size_t restored = 0;
     for (long i = 0; i < images; ++i) {
         const objgraph::SeparatedImage image =
             objgraph::SeparatedImage::build(graph);
-        decoded += image.reconstruct().objectCount();
+        restored += image.reconstruct().objectCount();
     }
     const double wall = secondsSince(start);
-    if (decoded != graph.objectCount() * static_cast<std::size_t>(images))
-        sim::fatal("imageMicro: decode lost objects");
+    if (restored != graph.objectCount() * static_cast<std::size_t>(images))
+        sim::fatal("imageMicro: reconstruct lost objects");
     results.push_back({"separated image build + first reconstruct",
                        images, wall, "images"});
     std::printf("separated image build + first reconstruct: %.1f us/image "

@@ -90,29 +90,6 @@ ObjectGraph::addObject(ObjectKind kind, std::uint32_t payload_bytes,
     return id;
 }
 
-ObjectGraph
-ObjectGraph::fromObjects(std::vector<MetaObject> objects)
-{
-    for (std::size_t i = 0; i < objects.size(); ++i) {
-        const MetaObject &obj = objects[i];
-        if (obj.id != i + 1)
-            sim::panic("ObjectGraph::fromObjects: non-dense id %llu at "
-                       "index %zu",
-                       static_cast<unsigned long long>(obj.id), i);
-        for (std::uint64_t ref : obj.refs) {
-            if (ref >= obj.id)
-                sim::panic("ObjectGraph::fromObjects: forward/self ref "
-                           "%llu",
-                           static_cast<unsigned long long>(ref));
-        }
-    }
-    ObjectGraph graph;
-    if (!objects.empty())
-        graph.objects_ =
-            std::make_shared<std::vector<MetaObject>>(std::move(objects));
-    return graph;
-}
-
 const MetaObject &
 ObjectGraph::object(std::uint64_t id) const
 {

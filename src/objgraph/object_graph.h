@@ -93,13 +93,6 @@ class ObjectGraph
     std::uint64_t addObject(ObjectKind kind, std::uint32_t payload_bytes,
                             std::vector<std::uint64_t> refs);
 
-    /**
-     * Adopt a whole id-ordered object vector at once. Enforces what
-     * addObject() would: object i carries id i+1, and every ref names
-     * an earlier object or is 0.
-     */
-    static ObjectGraph fromObjects(std::vector<MetaObject> objects);
-
     const MetaObject &object(std::uint64_t id) const;
     MetaObject &mutableObject(std::uint64_t id);
 
@@ -122,6 +115,13 @@ class ObjectGraph
 
     /** Structural equality (used to validate restore round trips). */
     bool operator==(const ObjectGraph &other) const;
+
+    /** True when both graphs alias one non-empty object storage. */
+    bool
+    sharesStorageWith(const ObjectGraph &other) const
+    {
+        return objects_ && objects_ == other.objects_;
+    }
 
     /** Synthesize a graph with the given shape, deterministically. */
     static ObjectGraph synthesize(sim::Rng &rng, const GraphSpec &spec);

@@ -38,6 +38,12 @@ struct Reloc
  * so that stage-2 pointer patching dirties (and therefore COWs) as few
  * pages as possible — this is what keeps the paper's per-instance
  * metadata cost in the hundreds-of-KB range (Table 3).
+ *
+ * A func-image holds one host copy of its metadata: the arena, one
+ * relation table and the pointer-page list, plus an alias of the
+ * checkpointed graph that every restored instance shares. There is no
+ * separate decoded copy; the arena is checked against the checkpoint
+ * once, on the first reconstruct().
  */
 class SeparatedImage
 {
@@ -46,20 +52,26 @@ class SeparatedImage
     static constexpr std::size_t kPointerSlotBytes = 8;
     static constexpr std::size_t kRelocEntryBytes = 16;
 
-    /** Re-organize a graph into the separated format (offline). */
+    /**
+     * Re-organize a graph into the separated format (offline). The
+     * image aliases @p graph copy-on-write instead of copying it.
+     */
     static SeparatedImage build(const ObjectGraph &graph);
 
     /**
-     * Stage-1 + stage-2: rebuild the full object graph by applying the
-     * relation table to the arena. The result is bit-identical to the
-     * checkpointed graph.
+     * Stage-1 + stage-2: hand out the restored object graph, which is
+     * bit-identical to the checkpointed one.
      *
-     * The arena itself is immutable and shared — stage-2 never copies
-     * it. Patched pointer slots are read through the relation table as
-     * an overlay (the per-instance COW pages of the real system), and
-     * because the decode is a pure function of the arena, its result is
-     * computed once and handed out as a shared copy-on-write graph on
-     * every later boot.
+     * The arena is immutable and shared, and stage-2 never copies it:
+     * the patched pointer slots are the per-instance COW pages of the
+     * real system (pointerPageList()). The first call verifies the
+     * image against the checkpointed graph in one arena walk: every
+     * header, payload fill and zeroed slot, and every relation-table
+     * entry (present exactly once, in slot order, resolving to the
+     * arena offset of the object the checkpoint references). Any
+     * mismatch panics with "corruption". That call and every later one
+     * return a copy-on-write alias of the checkpointed graph, so all
+     * instances of a func-image share one host copy of its metadata.
      *
      * With an enabled @p trace, emits "arena-map", "relation-fixup" and
      * "arena-decode" child spans annotated with object/reloc counts
@@ -68,11 +80,11 @@ class SeparatedImage
      */
     ObjectGraph reconstruct(trace::TraceContext trace = {}) const;
 
-    std::size_t objectCount() const { return stored_.size(); }
+    std::size_t objectCount() const { return graph_.objectCount(); }
     std::size_t relocCount() const { return relocs_.size(); }
 
     /** Arena extent. */
-    std::size_t arenaBytes() const { return arena_bytes_; }
+    std::size_t arenaBytes() const { return arena_->size(); }
     std::size_t arenaPages() const;
 
     /** Distinct arena pages containing at least one patched slot. */
@@ -83,7 +95,11 @@ class SeparatedImage
      * These are exactly the pages a warm boot COWs into its Private-EPT
      * (the per-instance metadata cost of Table 3).
      */
-    std::vector<std::uint64_t> pointerPageList() const;
+    const std::vector<std::uint64_t> &
+    pointerPageList() const
+    {
+        return pointer_pages_;
+    }
 
     /** Relation table size on disk / in memory. */
     std::size_t
@@ -92,6 +108,7 @@ class SeparatedImage
         return relocs_.size() * kRelocEntryBytes;
     }
 
+    /** The relation table, in ascending slot offset. */
     const std::vector<Reloc> &relocs() const { return relocs_; }
 
     /** Raw arena bytes (the image's metadata section contents). */
@@ -99,7 +116,7 @@ class SeparatedImage
 
     /**
      * Test support: flip one arena byte (simulated storage rot).
-     * Detaches from any sharers and drops the cached decode so the
+     * Detaches from any sharers and forgets the verification so the
      * corruption is actually re-read.
      */
     void
@@ -108,29 +125,30 @@ class SeparatedImage
         if (arena_.use_count() > 1)
             arena_ = std::make_shared<std::vector<std::uint8_t>>(*arena_);
         arena_->at(offset) ^= 0xff;
-        decoded_valid_ = false;
+        verified_ = false;
+    }
+
+    /**
+     * Test support: the relation table for editing (retarget, drop or
+     * add entries). Forgets the verification so the edit is re-read.
+     */
+    std::vector<Reloc> &
+    relocsForTesting()
+    {
+        verified_ = false;
+        return relocs_;
     }
 
   private:
-    struct StoredObject
-    {
-        std::uint64_t id; // original id (order preserved for identity)
-        ObjectKind kind;
-        std::uint32_t payloadBytes;
-        std::uint64_t arenaOffset;
-        /** Slot count; contents zeroed, patched via the relation table. */
-        std::uint16_t slots;
-    };
+    /** Panic with "corruption" unless the image encodes graph_. */
+    void verify() const;
 
-    std::vector<StoredObject> stored_;            // id order
+    /** The checkpointed graph (an alias, never written). */
+    ObjectGraph graph_;
+    /** Sorted by slot offset. */
     std::vector<Reloc> relocs_;
-    /** relocs_ re-sorted by slot offset: the stage-2 patch overlay. */
-    std::vector<Reloc> overlay_;
-    /** (arena offset, object id), sorted by offset. */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> offset_to_id_;
     /** Sorted distinct arena pages containing patched slots. */
     std::vector<std::uint64_t> pointer_pages_;
-    std::size_t arena_bytes_ = 0;
     /**
      * The real arena: packed headers, payload fill, zeroed slots.
      * Shared immutably across image copies and never written after
@@ -139,9 +157,8 @@ class SeparatedImage
     std::shared_ptr<std::vector<std::uint8_t>> arena_ =
         std::make_shared<std::vector<std::uint8_t>>();
 
-    /** One-shot decode cache: reconstruct() is pure in the arena. */
-    mutable ObjectGraph decoded_;
-    mutable bool decoded_valid_ = false;
+    /** reconstruct() verifies once; the image never changes after. */
+    mutable bool verified_ = false;
 };
 
 } // namespace catalyzer::objgraph

@@ -213,22 +213,106 @@ TEST(SeparatedImageTest, HeaderCorruptionIsDetected)
     EXPECT_DEATH(reconstructWithHeaderFlip(12), "corruption");
 }
 
-TEST(ObjectGraphTest, FromObjectsEnforcesAddObjectRules)
+/** A 200-object image (seed 5) with @p edit applied to it. */
+template <typename Edit>
+void
+reconstructAfter(Edit edit)
 {
-    std::vector<MetaObject> dense = {
-        MetaObject{1, ObjectKind::Task, 32, {}},
-        MetaObject{2, ObjectKind::Mount, 16, {1, 0}}};
-    ObjectGraph built;
-    built.addObject(ObjectKind::Task, 32, {});
-    built.addObject(ObjectKind::Mount, 16, {1, 0});
-    EXPECT_TRUE(ObjectGraph::fromObjects(dense) == built);
+    sim::Rng rng(5);
+    const ObjectGraph graph =
+        ObjectGraph::synthesize(rng, GraphSpec::scaledTo(200));
+    SeparatedImage image = SeparatedImage::build(graph);
+    ASSERT_GT(image.relocCount(), 2u);
+    edit(image);
+    image.reconstruct();
+}
 
-    std::vector<MetaObject> gap = dense;
-    gap[1].id = 3;
-    EXPECT_DEATH(ObjectGraph::fromObjects(gap), "non-dense id");
-    std::vector<MetaObject> self_ref = dense;
-    self_ref[1].refs = {2};
-    EXPECT_DEATH(ObjectGraph::fromObjects(self_ref), "forward/self ref");
+TEST(SeparatedImageTest, RetargetedRelocationIsDetected)
+{
+    // Every target offset names a real object, so pointing one entry at
+    // the object that starts the arena still decodes to *a* graph: only
+    // the check against the checkpoint can tell it is the wrong one.
+    const auto retarget = [](SeparatedImage &image) {
+        for (Reloc &reloc : image.relocsForTesting()) {
+            if (reloc.targetOffset != 0) {
+                reloc.targetOffset = 0;
+                return;
+            }
+        }
+        FAIL() << "no relocation to retarget";
+    };
+    EXPECT_DEATH(reconstructAfter(retarget), "corruption");
+}
+
+TEST(SeparatedImageTest, MissingRelocationIsDetected)
+{
+    EXPECT_DEATH(reconstructAfter([](SeparatedImage &image) {
+                     auto &relocs = image.relocsForTesting();
+                     relocs.erase(relocs.begin() + 1);
+                 }),
+                 "corruption");
+    EXPECT_DEATH(reconstructAfter([](SeparatedImage &image) {
+                     image.relocsForTesting().pop_back();
+                 }),
+                 "corruption");
+}
+
+TEST(SeparatedImageTest, ExtraRelocationIsDetected)
+{
+    // A duplicate inside the table, and an entry past its end.
+    EXPECT_DEATH(reconstructAfter([](SeparatedImage &image) {
+                     auto &relocs = image.relocsForTesting();
+                     const Reloc dup = relocs[1];
+                     relocs.insert(relocs.begin() + 1, dup);
+                 }),
+                 "corruption");
+    EXPECT_DEATH(reconstructAfter([](SeparatedImage &image) {
+                     auto &relocs = image.relocsForTesting();
+                     const Reloc last = relocs.back();
+                     relocs.push_back({last.slotOffset + 1,
+                                       last.targetOffset});
+                 }),
+                 "corruption");
+}
+
+TEST(SeparatedImageTest, NonZeroUnpatchedSlotIsDetected)
+{
+    EXPECT_DEATH(reconstructAfter([](SeparatedImage &image) {
+                     image.corruptByteForTesting(
+                         image.relocs().front().slotOffset + 3);
+                 }),
+                 "corruption");
+}
+
+TEST(SeparatedImageTest, DuplicatedHeaderIdIsDetected)
+{
+    // 300 pointer-free 16-byte objects: the arena is in id order, 32
+    // bytes per object. Flipping the low byte of object 1's id turns it
+    // into 0xfe, the id object 254 carries in its own header.
+    ObjectGraph graph;
+    for (int i = 0; i < 300; ++i)
+        graph.addObject(ObjectKind::Misc, 16, {});
+    SeparatedImage image = SeparatedImage::build(graph);
+    ASSERT_EQ(image.arena()[253 * 32], 0xfe);
+    image.corruptByteForTesting(0);
+    EXPECT_DEATH(image.reconstruct(), "corruption");
+}
+
+TEST(SeparatedImageTest, ReconstructAliasesTheCheckpointedGraph)
+{
+    sim::Rng rng(9);
+    const ObjectGraph graph =
+        ObjectGraph::synthesize(rng, GraphSpec::scaledTo(500));
+    const SeparatedImage image = SeparatedImage::build(graph);
+    const ObjectGraph first = image.reconstruct();
+    EXPECT_TRUE(first.sharesStorageWith(graph));
+    EXPECT_TRUE(image.reconstruct().sharesStorageWith(first));
+    // Copy-on-write: editing a handed-out graph leaves the image alone.
+    ObjectGraph edited = image.reconstruct();
+    edited.mutableObject(1).payloadBytes += 8;
+    EXPECT_FALSE(edited.sharesStorageWith(graph));
+    EXPECT_TRUE(image.reconstruct() == graph);
+    EXPECT_FALSE(ObjectGraph().sharesStorageWith(ObjectGraph()));
 }
 
 /** FNV-1a over @p n bytes, continuing from @p h. */

@@ -64,6 +64,33 @@ TEST(PlatformTest, CatalyzerForkStrategy)
     EXPECT_LT(rec.bootLatency.toMs(), 2.0);
 }
 
+TEST(PlatformTest, InstancesShareTheImagesKernelGraph)
+{
+    // One host copy per func-image: the checkpointed graph, the
+    // separated image's restore result and the kernel state of every
+    // restored or forked instance are one storage.
+    for (const BootStrategy strategy :
+         {BootStrategy::CatalyzerCold, BootStrategy::CatalyzerWarm,
+          BootStrategy::CatalyzerFork}) {
+        Machine machine(42);
+        ServerlessPlatform platform(machine, PlatformConfig{strategy});
+        const apps::AppProfile &app = apps::appByName("python-hello");
+        platform.prepare(app);
+        platform.invoke(app.name);
+        platform.invoke(app.name);
+        const snapshot::FuncImage &image =
+            *platform.registry().artifactsFor(app).separatedImage;
+        const objgraph::ObjectGraph &graph = image.state().kernelGraph;
+        EXPECT_TRUE(
+            image.separated().reconstruct().sharesStorageWith(graph));
+        const auto instances = platform.instancesOf(app.name);
+        ASSERT_EQ(instances.size(), 2u) << bootStrategyName(strategy);
+        for (const sandbox::SandboxInstance *inst : instances)
+            EXPECT_TRUE(inst->guest().state().sharesStorageWith(graph))
+                << bootStrategyName(strategy);
+    }
+}
+
 TEST(PlatformTest, AutoStrategyEscalates)
 {
     Machine machine(42);

@@ -135,8 +135,9 @@ TEST(WorkflowEngineTest, BlindPlacementPaysRemoteHopsAndTransfers)
     // A remote hop is strictly more virtual time than a local one:
     // dispatch + fabric RTT (+ the region streamed on first attach).
     for (const StageOutcome &stage : result.stages) {
-        if (stage.depsRemote > 0)
+        if (stage.depsRemote > 0) {
             EXPECT_GT(stage.hopLatency, sim::SimTime());
+        }
     }
 }
 
@@ -259,8 +260,9 @@ TEST(WorkflowFleetTest, WorkflowTapeEntriesAreDeterministic)
             ++workflows;
             kinds.insert(a[i].workflow);
         }
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].atSec, a[i - 1].atSec);
+        }
     }
     EXPECT_GT(workflows, 0u);
     EXPECT_EQ(kinds.size(), 2u); // round-robin across workflowKinds
