@@ -182,7 +182,7 @@ runMix(platform::Cluster &cluster, bool aware, std::size_t runs,
                 ? workflow::pipelineAnalytics(4, region_pages)
                 : workflow::shoppingCartSession(
                       3, std::max<std::size_t>(8, region_pages / 4),
-                      "s" + std::to_string(r / 2));
+                      std::string("s").append(std::to_string(r / 2)));
         const workflow::WorkflowResult result = engine.run(spec);
         out.e2e.add(result.e2e);
         out.hopsLocal += result.hopsLocal;
@@ -316,7 +316,7 @@ main()
             const workflow::WorkflowSpec spec =
                 workflow::shoppingCartSession(
                     updates, std::max<std::size_t>(8, region_pages / 4),
-                    "s" + std::to_string(r));
+                    std::string("s").append(std::to_string(r)));
             aware_ms.push_back(aware_engine.run(spec).e2e.toMs());
             blind_ms.push_back(blind_engine.run(spec).e2e.toMs());
         }

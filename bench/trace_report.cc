@@ -189,7 +189,7 @@ runChain()
         ++runs;
         e2e += engine
                    .run(workflow::shoppingCartSession(
-                       2, 32, "s" + std::to_string(round)))
+                       2, 32, std::string("s").append(std::to_string(round))))
                    .e2e;
         ++runs;
     }

@@ -67,7 +67,6 @@ class ZygotePool
      */
     void replenish();
 
-    void setTarget(std::size_t n) { target_ = n; }
     std::size_t target() const { return target_; }
 
     /** Make builds consult @p injector; nullptr disables injection. */

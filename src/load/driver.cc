@@ -14,25 +14,6 @@ namespace {
 
 constexpr double kMiB = 1024.0 * 1024.0;
 
-/**
- * Fleet-replay trace ids are pinned, not allocated: request i of the
- * tape always traces under kFleetTraceIdBase + i, so the fleet trace
- * export is byte-identical no matter which worker thread served the
- * request first. The base keeps the pinned range disjoint from lazily
- * allocated ids (which count up from 1).
- */
-constexpr trace::TraceId kFleetTraceIdBase = 1ull << 48;
-
-/**
- * Priming invocations are pinned too (machine-major, function-minor),
- * or the process-global lazy allocator would hand a second run in the
- * same process different ids than the first and the exported traces of
- * otherwise identical runs would not compare equal. Machine m's k-th
- * priming invoke traces under base + m * (population + workflow
- * functions) + k.
- */
-constexpr trace::TraceId kFleetPrimeTraceIdBase = 1ull << 47;
-
 /** Round-trip double formatting for the determinism dump. */
 void
 writeExactNumber(std::ostream &os, double v)
@@ -103,8 +84,8 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
         }
     }
     // Workflow stage functions prime alongside the population's
-    // (sorted + deduped, so the pinned prime-id sequence is a pure
-    // function of the config — and unchanged when workflows are off).
+    // (sorted + deduped, so the priming order is a pure function of
+    // the config — and unchanged when workflows are off).
     std::vector<std::string> wf_fns;
     if (has_workflows) {
         for (const workflow::WorkflowSpec &spec : config.workflows) {
@@ -131,26 +112,13 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     // initialization on the request path (checkpointing the separated
     // image, priming the shared base) that a long-running fleet paid
     // days ago; unprimed, that tax swamps every scenario with
-    // synthetic overload. Machine m's priming invokes trace under the
-    // ids a serial machine-major loop would hand out, so the pinned
-    // sequence is the same whether or not the machines prime
-    // concurrently.
-    const std::size_t per_machine = population_.size() + wf_fns.size();
+    // synthetic overload.
     auto primeMachine = [&](std::size_t m) {
-        trace::TraceId prime_id =
-            kFleetPrimeTraceIdBase +
-            static_cast<trace::TraceId>(m * per_machine);
         platform::ServerlessPlatform &plat = cluster_.platform(m);
-        sandbox::Machine &mach = cluster_.machine(m);
         for (std::size_t i = 0; i < population_.size(); ++i)
-            plat.invoke(population_.fn(i).name,
-                        trace::TraceContext(mach.tracer(),
-                                            mach.ctx().clock(), 0,
-                                            prime_id++));
+            plat.invoke(population_.fn(i).name);
         for (const std::string &fn : wf_fns)
-            plat.invoke(fn, trace::TraceContext(mach.tracer(),
-                                                mach.ctx().clock(), 0,
-                                                prime_id++));
+            plat.invoke(fn);
         // Drop the priming instances: the run starts with built
         // images but zero warm capacity under either policy.
         plat.expireIdle(sim::SimTime::milliseconds(0.001));
@@ -271,18 +239,12 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
         if (config.policy.keepAliveTtl > sim::SimTime::zero())
             out.expired = plat.expireIdle(config.policy.keepAliveTtl);
 
-        sandbox::Machine &m = cluster_.machine(target);
-        const trace::TraceContext pinned(
-            m.tracer(), m.ctx().clock(), 0,
-            kFleetTraceIdBase + static_cast<trace::TraceId>(i));
-        out.record =
-            cluster_.invokeOn(target, fn.name, pinned).record;
+        out.record = cluster_.invokeOn(target, fn.name).record;
     };
 
     // Serve a workflow arrival: the DAG may start on any machine, so
     // every clock aligns with the arrival first and the engine's
-    // run-relative frame opens exactly there. Trace id pinned like any
-    // other tape position.
+    // run-relative frame opens exactly there.
     auto serveWorkflow = [&](std::size_t i) {
         const FleetArrival &arrival = stream[i];
         Outcome &out = outcomes[i];
@@ -292,12 +254,7 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
         const workflow::WorkflowSpec &spec = config.workflows
             [static_cast<std::size_t>(arrival.workflow) %
              config.workflows.size()];
-        sandbox::Machine &m0 = cluster_.machine(0);
-        out.wf = engine.run(
-            spec,
-            trace::TraceContext(
-                m0.tracer(), m0.ctx().clock(), 0,
-                kFleetTraceIdBase + static_cast<trace::TraceId>(i)));
+        out.wf = engine.run(spec);
     };
 
     // Stream-order fold of one served epoch: autoscaler bookkeeping

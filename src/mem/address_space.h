@@ -188,7 +188,6 @@ class AddressSpace
 
     const std::vector<Vma> &vmas() const { return vmas_; }
     const std::shared_ptr<BaseMapping> &base() const { return base_; }
-    PageIndex baseVaStart() const { return base_va_start_; }
     const std::string &name() const { return name_; }
 
     sim::SimContext &context() { return ctx_; }

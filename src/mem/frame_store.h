@@ -93,9 +93,6 @@ class FrameStore
     /** Number of live frames (machine-wide RSS, in pages). */
     std::size_t liveFrames() const { return live_; }
 
-    /** Total allocations ever made. */
-    std::size_t totalAllocated() const { return next_ - 1; }
-
   private:
     /** Consecutive frames [start, start+npages) with equal refs/source. */
     struct Span

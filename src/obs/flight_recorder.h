@@ -80,7 +80,6 @@ class FlightRecorder
 
     /** Auto-dump directory; empty disables dumping. */
     void setDumpDirectory(std::string dir);
-    const std::string &dumpDirectory() const { return dump_dir_; }
 
     /** In-memory incidents, oldest first (bounded by kMaxIncidents). */
     const std::deque<Incident> &incidents() const { return incidents_; }

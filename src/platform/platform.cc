@@ -310,10 +310,10 @@ ServerlessPlatform::invoke(const std::string &function_name,
 
     // Find or boot an instance.
     std::unique_ptr<SandboxInstance> inst;
-    std::deque<IdleEntry> *idle = nullptr;
+    std::deque<ParkedEntry> *idle = nullptr;
     if (config_.reuseIdleInstances) {
-        auto it = idle_.find(function_name);
-        if (it != idle_.end() && !it->second.empty())
+        auto it = pool_.find(function_name);
+        if (it != pool_.end() && !it->second.empty())
             idle = &it->second;
     }
     if (idle != nullptr) {
@@ -321,7 +321,6 @@ ServerlessPlatform::invoke(const std::string &function_name,
         // ones age toward the keep-alive TTL.
         inst = std::move(idle->back().instance);
         idle->pop_back();
-        --idle_count_;
         --live_count_;
         record.reusedInstance = true;
         record.bootKind = inst->bootKind();
@@ -348,15 +347,11 @@ ServerlessPlatform::invoke(const std::string &function_name,
     }
 
     // Park the instance.
-    if (config_.reuseIdleInstances) {
-        if (idle_count_ == 0)
+    if (config_.reuseIdleInstances || config_.retainInstances) {
+        if (idleCount() == 0)
             oldest_parked_ = ctx.now();
-        idle_[function_name].push_back(
-            IdleEntry{std::move(inst), ctx.now()});
-        ++idle_count_;
-        ++live_count_;
-    } else if (config_.retainInstances) {
-        running_[function_name].push_back(std::move(inst));
+        pool_[function_name].push_back(
+            ParkedEntry{std::move(inst), ctx.now()});
         ++live_count_;
     }
     // else: destroyed here, releasing its memory.
@@ -387,14 +382,8 @@ std::vector<SandboxInstance *>
 ServerlessPlatform::instancesOf(const std::string &function_name)
 {
     std::vector<SandboxInstance *> out;
-    auto rit = running_.find(function_name);
-    if (rit != running_.end()) {
-        for (auto &inst : rit->second)
-            out.push_back(inst.get());
-    }
-    auto iit = idle_.find(function_name);
-    if (iit != idle_.end()) {
-        for (auto &entry : iit->second)
+    if (auto it = pool_.find(function_name); it != pool_.end()) {
+        for (auto &entry : it->second)
             out.push_back(entry.instance.get());
     }
     return out;
@@ -403,14 +392,8 @@ ServerlessPlatform::instancesOf(const std::string &function_name)
 std::size_t
 ServerlessPlatform::runningCount(const std::string &function_name) const
 {
-    std::size_t n = 0;
-    auto rit = running_.find(function_name);
-    if (rit != running_.end())
-        n += rit->second.size();
-    auto iit = idle_.find(function_name);
-    if (iit != idle_.end())
-        n += iit->second.size();
-    return n;
+    auto it = pool_.find(function_name);
+    return it != pool_.end() ? it->second.size() : 0;
 }
 
 std::size_t
@@ -419,11 +402,11 @@ ServerlessPlatform::expireIdle(sim::SimTime ttl)
     const sim::SimTime now = machine_.ctx().now();
     // Every idle instance parked at or after oldest_parked_, so none
     // is older than the TTL yet.
-    if (idle_count_ == 0 || now - oldest_parked_ <= ttl)
+    if (idleCount() == 0 || now - oldest_parked_ <= ttl)
         return 0;
     std::size_t reclaimed = 0;
     bool have_oldest = false;
-    for (auto &[name, entries] : idle_) {
+    for (auto &[name, entries] : pool_) {
         while (!entries.empty() &&
                now - entries.front().parkedAt > ttl) {
             entries.pop_front();
@@ -436,7 +419,6 @@ ServerlessPlatform::expireIdle(sim::SimTime ttl)
             have_oldest = true;
         }
     }
-    idle_count_ -= reclaimed;
     live_count_ -= reclaimed;
     if (reclaimed > 0)
         machine_.ctx().stats().incr("platform.idle_expired",
@@ -448,11 +430,7 @@ std::size_t
 ServerlessPlatform::residentBytes() const
 {
     std::size_t bytes = 0;
-    for (const auto &[name, list] : running_) {
-        for (const auto &inst : list)
-            bytes += inst->rssBytes();
-    }
-    for (const auto &[name, entries] : idle_) {
+    for (const auto &[name, entries] : pool_) {
         for (const auto &entry : entries)
             bytes += entry.instance->rssBytes();
     }
@@ -467,14 +445,9 @@ ServerlessPlatform::residentBytes() const
 void
 ServerlessPlatform::teardown(const std::string &function_name)
 {
-    if (auto it = running_.find(function_name); it != running_.end()) {
+    if (auto it = pool_.find(function_name); it != pool_.end()) {
         live_count_ -= it->second.size();
-        running_.erase(it);
-    }
-    if (auto it = idle_.find(function_name); it != idle_.end()) {
-        idle_count_ -= it->second.size();
-        live_count_ -= it->second.size();
-        idle_.erase(it);
+        pool_.erase(it);
     }
 }
 

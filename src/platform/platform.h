@@ -128,7 +128,10 @@ class ServerlessPlatform
     std::size_t expireIdle(sim::SimTime ttl);
 
     /** Idle (keep-alive) instances across all functions; O(1). */
-    std::size_t idleCount() const { return idle_count_; }
+    std::size_t idleCount() const
+    {
+        return config_.reuseIdleInstances ? live_count_ : 0;
+    }
 
     /**
      * Resident memory attributable to serving: every live instance
@@ -174,11 +177,6 @@ class ServerlessPlatform
      */
     void setRemoteEnv(remote::RemoteBootEnv env);
 
-    const remote::RemoteBootEnv *remoteEnv() const
-    {
-        return remote_env_ ? &*remote_env_ : nullptr;
-    }
-
   private:
     sandbox::BootResult bootNew(sandbox::FunctionArtifacts &fn,
                                 InvocationRecord &record,
@@ -200,8 +198,8 @@ class ServerlessPlatform
     /** Publish this machine's template state for @p name cluster-wide. */
     void syncRemoteRegistry(const std::string &name);
 
-    /** A parked keep-alive instance. */
-    struct IdleEntry
+    /** A parked instance: retained, or idle under keep-alive. */
+    struct ParkedEntry
     {
         std::unique_ptr<sandbox::SandboxInstance> instance;
         sim::SimTime parkedAt;
@@ -214,18 +212,17 @@ class ServerlessPlatform
     obs::FlightRecorder recorder_;
     /** Trace id of the request currently in invoke() (0 outside). */
     trace::TraceId current_trace_ = 0;
-    /** Parked instances per function, oldest first; holds only
-     *  functions that have parked an instance. */
-    std::map<std::string, std::deque<IdleEntry>> idle_;
-    std::map<std::string,
-             std::vector<std::unique_ptr<sandbox::SandboxInstance>>>
-        running_;
-    /** Sum of every running_ and idle_ list's size. */
-    std::size_t live_count_ = 0;
-    /** Sum of every idle_ deque's size. */
-    std::size_t idle_count_ = 0;
     /**
-     * While idle_count_ > 0: no idle instance parked before this.
+     * Parked instances per function, oldest first; holds only
+     * functions that have parked an instance. They are idle under
+     * keep-alive (reuseIdleInstances) and retained otherwise; one
+     * config never fills both kinds.
+     */
+    std::map<std::string, std::deque<ParkedEntry>> pool_;
+    /** Sum of every pool_ deque's size. */
+    std::size_t live_count_ = 0;
+    /**
+     * While idleCount() > 0: no idle instance parked before this.
      * Set when an instance parks on a platform with none idle, exact
      * again after every expiry scan; reuse and teardown only make it
      * looser.

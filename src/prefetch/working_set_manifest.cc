@@ -92,7 +92,7 @@ WorkingSetManifest::deserialize(const std::string &blob)
     std::istringstream is(blob);
     std::string magic, version;
     if (!(is >> magic >> version) || magic != kMagic ||
-        version != "v" + std::to_string(kFormatVersion))
+        version != std::string("v").append(std::to_string(kFormatVersion)))
         return nullptr;
 
     std::string key, function_name;

@@ -83,7 +83,6 @@ class TemplateRegistry : public net::ReplicaDirectory,
     void dropChunkHolder(net::ChunkId chunk, net::NodeId node) override;
 
     std::size_t chunkHolderCount(net::ChunkId chunk) const;
-    std::size_t trackedChunkCount() const { return chunks_.size(); }
 
   private:
     /** Publish history of one blob key (see recordPublish). */

@@ -126,11 +126,6 @@ class SandboxInstance
      */
     void finishWorkingSetWindow();
 
-    const prefetch::FaultRecorder *workingSetRecorder() const
-    {
-        return ws_recorder_.get();
-    }
-
     /**
      * Install a fault observer for this instance's whole lifetime (the
      * remote-sfork page puller). Unlike the working-set recorder it

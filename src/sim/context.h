@@ -36,7 +36,6 @@ class SimContext
     const VirtualClock &clock() const { return clock_; }
 
     const CostModel &costs() const { return costs_; }
-    CostModel &mutableCosts() { return costs_; }
 
     Rng &rng() { return rng_; }
     StatRegistry &stats() { return stats_; }

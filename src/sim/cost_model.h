@@ -44,8 +44,6 @@ struct CostModel
     SimTime openFile = 14_us;
     /** connect()/accept() for a local socket. */
     SimTime openSocket = 210_us;
-    /** stat() */
-    SimTime statFile = 4_us;
     /** One mount() call. */
     SimTime mountFs = 450_us;
     /** Gofer RPC round trip (9P-style) for one I/O request. */
@@ -112,8 +110,6 @@ struct CostModel
      * during separated state recovery (allocation/registration barriers).
      */
     SimTime redoObjectSequentialPart = 200_ns;
-    /** Average pointers per metadata object in the relation table. */
-    double pointersPerObject = 3.4;
     /** Image manifest parse + section header validation. */
     SimTime imageManifestParse = 120_us;
     /** CRC over one image page during integrity verification. */
@@ -218,8 +214,6 @@ struct CostModel
     //
     /** Fixed bookkeeping to re-establish one I/O connection record. */
     SimTime ioReconnectBase = 350_us;
-    /** Extra cost when reconnection needs a Gofer round trip. */
-    SimTime ioReconnectGofer = 190_us;
     /**
      * Critical-path cost of *deferring* one reconnection: tagging the fd
      * as not-reopened and queueing the async re-establishment.
@@ -250,8 +244,6 @@ struct CostModel
     SimTime parseConfig = 319_us;
     /** Spawn the sandbox process (fork+exec of the runtime binary). */
     SimTime bootSandboxProcess = 757_us;
-    /** Spawn the I/O (Gofer) process. */
-    SimTime bootIoProcess = 680_us;
     /** Zygote specialization: append function-specific config. */
     SimTime zygoteAppendConfig = 150_us;
     /** Zygote specialization: import function binaries, per MiB. */

@@ -83,9 +83,6 @@ class ImageStore
     /** Evict the local copy (e.g. cache pressure); remote copy stays. */
     void evictLocal(const std::string &function_name, ImageFormat format);
 
-    std::size_t publishedCount() const { return remote_.size(); }
-    std::size_t localCount() const { return local_.size(); }
-
     /** Turn on / tune content-addressed chunking (see chunk_store.h).
      *  Call before the first publish. */
     void configureChunks(const ChunkStoreConfig &config)
@@ -95,7 +92,6 @@ class ImageStore
                                config.ssdBudgetBytes);
     }
 
-    const ChunkStoreConfig &chunkConfig() const { return chunk_config_; }
     const TieredChunkCache &chunkCache() const { return chunk_cache_; }
 
     /**

@@ -362,14 +362,4 @@ StateRegionStore::residentBytesOn(net::NodeId node) const
     return bytes;
 }
 
-std::vector<std::string>
-StateRegionStore::regionNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(regions_.size());
-    for (const auto &[name, region] : regions_)
-        out.push_back(name);
-    return out;
-}
-
 } // namespace catalyzer::state

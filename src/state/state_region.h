@@ -59,7 +59,6 @@ class RegionAttachment
     RegionAttachment() = default;
 
     bool valid() const { return base_ != nullptr; }
-    const std::string &regionName() const { return region_; }
     std::uint64_t version() const { return version_; }
     net::NodeId node() const { return node_; }
     std::size_t npages() const { return base_ ? base_->npages() : 0; }
@@ -202,9 +201,6 @@ class StateRegionStore
      * reservation the autoscaler's memory budget must account for).
      */
     std::size_t residentBytesOn(net::NodeId node) const;
-
-    /** All region names, ascending (deterministic iteration). */
-    std::vector<std::string> regionNames() const;
 
   private:
     struct Replica

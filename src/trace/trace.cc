@@ -1,19 +1,8 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace catalyzer::trace {
-
-TraceId
-nextTraceId()
-{
-    // Process-wide so trace ids are unique across every machine in a
-    // simulated cluster; single-threaded workloads see a deterministic
-    // 1, 2, 3, ... sequence.
-    static std::atomic<TraceId> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 SpanId
 Tracer::begin(std::string name, sim::SimTime start, SpanId parent,
@@ -90,6 +79,13 @@ Tracer::clear()
     spans_.clear();
 }
 
+TraceId
+Tracer::newTraceId()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return (static_cast<TraceId>(machine_) << 32) | next_trace_++;
+}
+
 void
 Tracer::setCapacity(std::size_t capacity)
 {
@@ -157,7 +153,7 @@ ScopedSpan::ScopedSpan(TraceContext ctx, std::string name) : ctx_(ctx)
     // A root span of a not-yet-stitched context starts a new
     // distributed trace; children inherit the id through context().
     if (ctx_.traceId() == 0)
-        ctx_ = ctx_.withTrace(nextTraceId());
+        ctx_ = ctx_.withTrace(ctx_.tracer()->newTraceId());
     id_ = ctx_.tracer()->begin(std::move(name), ctx_.now(), ctx_.parent(),
                                ctx_.traceId());
 }

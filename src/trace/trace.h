@@ -38,12 +38,12 @@ using SpanId = std::uint64_t;
  * on whichever machine it runs — carries the same trace id, so a
  * remote-sfork boot's lender and borrower spans stitch back into one
  * timeline. 0 means "not part of a stitched trace" (bare Tracer::begin
- * callers and pre-fleet code paths).
+ * callers and pre-fleet code paths). Ids come from the tracer of the
+ * machine where the request starts (Tracer::newTraceId), so they are
+ * unique across a cluster and independent of what else the process
+ * traced.
  */
 using TraceId = std::uint64_t;
-
-/** Allocate a fresh process-unique trace id (monotonic from 1). */
-TraceId nextTraceId();
 
 /** One named interval of virtual time. */
 struct Span
@@ -105,8 +105,15 @@ class Tracer
 
     std::size_t spanCount() const;
 
-    /** Drop all buffered spans; ids keep increasing. */
+    /** Drop all buffered spans; span and trace ids keep increasing. */
     void clear();
+
+    /**
+     * Allocate a fresh distributed trace id: this tracer's machine id
+     * in the high 32 bits, a per-tracer sequence (from 1) in the low
+     * 32 bits. A machine-0 tracer hands out 1, 2, 3, ...
+     */
+    TraceId newTraceId();
 
     /**
      * Bound the buffer to the @p capacity most recent spans (0 =
@@ -129,6 +136,7 @@ class Tracer
     mutable std::mutex mu_;
     std::deque<Span> spans_;
     SpanId next_id_ = 1;
+    std::uint32_t next_trace_ = 1;
     std::size_t capacity_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint32_t machine_ = 0;
@@ -140,7 +148,7 @@ class Tracer
  * to. Copyable and cheap; pass by value.
  *
  * A context created without a trace id gets one lazily: the first
- * ScopedSpan opened on it allocates a fresh cluster-unique id, and
+ * ScopedSpan opened on it draws a fresh id from its tracer, and
  * every child context (context()/withParent()) inherits it — including
  * contexts rebuilt against a *different* machine's tracer via
  * withTracer(), which is how one request's spans stitch across the

@@ -16,8 +16,7 @@ FsServer::chargeDup()
     bool expanded = false;
     server_fds_.allocate(FdEntry{FdKind::File, "<dup>", true, true, 0},
                          &expanded);
-    ++granted_;
-    vfs::chargeDup(ctx_, expanded, lazy_dup_);
+    vfs::chargeDup(ctx_, expanded, /*lazy=*/true);
 }
 
 bool

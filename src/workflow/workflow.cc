@@ -149,11 +149,14 @@ WorkflowEngine::run(const WorkflowSpec &spec, trace::TraceContext trace)
     const std::size_t machines = cluster_.machineCount();
     const std::map<std::string, std::size_t> index = stageIndex(spec);
 
-    // One distributed trace id threads every hop; with no caller trace
-    // the stages self-trace into the machines' always-on rings.
+    // One distributed trace id threads every hop, drawn from the
+    // caller's tracer (machine 0's without one); the stages record into
+    // the machines' always-on rings.
     trace::TraceId tid = trace.traceId();
     if (tid == 0)
-        tid = trace::nextTraceId();
+        tid = (trace.enabled() ? *trace.tracer()
+                               : cluster_.machine(0).tracer())
+                  .newTraceId();
 
     // Replay is run-relative: machine m's image of workflow time t is
     // start[m] + t, the fleet-driver convention, so machines whose

@@ -149,9 +149,9 @@ class WorkflowEngine
     {}
 
     /**
-     * Run @p spec once. With a disabled @p trace the run self-traces
-     * into the machines' ring tracers under a fresh distributed trace
-     * id; pass a pinned context for replay-deterministic exports.
+     * Run @p spec once. Every stage records into its machine's ring
+     * tracer under one distributed trace id: @p trace's, or else a
+     * fresh one from @p trace's tracer (machine 0's when disabled).
      */
     WorkflowResult run(const WorkflowSpec &spec,
                        trace::TraceContext trace = {});

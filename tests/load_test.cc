@@ -480,7 +480,9 @@ TEST(FleetDriverTest, ThreadCountDoesNotChangeReportOrTrace)
     const FleetRun eight = runShareNothingFleet(8);
     // Byte-identical across 1, 2 and 8 workers: routing and report
     // folds run in stream order off the workers, per-machine serving
-    // is share-nothing, and trace ids are pinned to tape positions.
+    // is share-nothing, and each machine's trace ids come from its own
+    // tracer, drawn only by the worker serving that machine's bucket
+    // in bucket order.
     EXPECT_EQ(one.reportJson, two.reportJson);
     EXPECT_EQ(one.reportJson, eight.reportJson);
     EXPECT_EQ(one.fleetTrace, two.fleetTrace);

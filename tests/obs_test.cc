@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -263,6 +264,57 @@ TEST(FleetStitchTest, RemoteSforkSharesOneTraceId)
               std::string::npos);
     EXPECT_NE(json.find("\"pid\":0"), std::string::npos);
     EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
+}
+
+TEST(FleetStitchTest, EachMachineAllocatesItsOwnTraceIds)
+{
+    Cluster cluster(2, PlacementPolicy::RoundRobin,
+                    PlatformConfig{BootStrategy::CatalyzerAuto}, {},
+                    sim::CostModel{}, 42, remoteForkFabric());
+    const apps::AppProfile &app = apps::appByName("python-django");
+    cluster.deploy(app);
+    cluster.platform(0).prepare(app);
+    for (int i = 0; i < 2; ++i)
+        cluster.platform(0).invoke("python-django");
+    ASSERT_EQ(cluster.platform(1).invoke("python-django").tierServed,
+              "remote-sfork");
+    cluster.platform(1).invoke("python-django");
+
+    // Walk the fleet export: one "ph":"X" event per line.
+    std::ostringstream os;
+    cluster.exportFleetTrace(os);
+    const std::regex event_re(
+        R"re("name":"([^"]*)","cat":"boot","ph":"X","pid":(\d+),"tid":(\d+),.*"parent_id":"(\d+)")re");
+    std::set<trace::TraceId> request_ids;
+    std::size_t requests = 0;
+    trace::TraceId borrow_id = 0, lend_id = 0;
+    std::istringstream lines(os.str());
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::smatch m;
+        if (!std::regex_search(line, m, event_re))
+            continue;
+        const std::string name = m[1];
+        const std::uint64_t pid = std::stoull(m[2]);
+        const trace::TraceId tid = std::stoull(m[3]);
+        if (name.rfind("invoke/", 0) == 0 && m[4] == "0") {
+            // A request's root span: its id is its own machine's.
+            ++requests;
+            request_ids.insert(tid);
+            EXPECT_EQ(tid >> 32, pid) << line;
+        }
+        if (name == "boot/Catalyzer-remote-sfork")
+            borrow_id = tid;
+        if (name == "lend-template") {
+            EXPECT_EQ(pid, 0u);
+            lend_id = tid;
+        }
+    }
+    EXPECT_EQ(requests, 4u);
+    EXPECT_EQ(request_ids.size(), requests); // distinct across machines
+    // The lender's half carries the borrower's (machine 1's) id.
+    EXPECT_EQ(borrow_id >> 32, 1u);
+    EXPECT_EQ(lend_id, borrow_id);
 }
 
 TEST(FleetStitchTest, PeerDeathReroutePullsKeepTheTraceId)

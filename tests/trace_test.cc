@@ -406,7 +406,7 @@ TEST(ChromeExportTest, PidIsMachineAndTidIsTraceId)
     a.setMachine(3);
     b.setMachine(7);
     sim::VirtualClock clock;
-    const TraceId tid = nextTraceId();
+    const TraceId tid = a.newTraceId();
     a.begin("borrow", clock.now(), 0, tid);
     b.begin("lend", clock.now(), 0, tid);
 
@@ -446,7 +446,7 @@ TEST(TracerTest, CapacityRingEvictsOldestFirst)
     sim::VirtualClock clock;
     tracer.setCapacity(3);
     for (int i = 0; i < 5; ++i) {
-        tracer.begin("s" + std::to_string(i), clock.now());
+        tracer.begin(std::string("s").append(std::to_string(i)), clock.now());
         clock.advance(1_ms);
     }
     EXPECT_EQ(tracer.spanCount(), 3u);
@@ -472,7 +472,7 @@ TEST(TracerTest, SpanCountAndRecentUnderWraparound)
     sim::VirtualClock clock;
     tracer.setCapacity(4);
     for (int i = 0; i < 10; ++i)
-        tracer.begin("s" + std::to_string(i), clock.now());
+        tracer.begin(std::string("s").append(std::to_string(i)), clock.now());
     EXPECT_EQ(tracer.spanCount(), 4u);
     const auto tail = tracer.recent(2);
     ASSERT_EQ(tail.size(), 2u);
@@ -520,6 +520,46 @@ TEST(TraceIdTest, RootSpanAllocatesAndChildrenInherit)
     // A second root span starts a distinct trace.
     ScopedSpan other(root, "other-request");
     EXPECT_NE(other.context().traceId(), spans[0].traceId);
+}
+
+TEST(TraceIdTest, NewTraceIdPutsTheMachineInTheHighBits)
+{
+    Tracer tracer;
+    EXPECT_EQ(tracer.newTraceId(), 1u);
+    EXPECT_EQ(tracer.newTraceId(), 2u);
+    tracer.setMachine(5);
+    EXPECT_EQ(tracer.newTraceId(), (TraceId{5} << 32) | 3u);
+    tracer.clear(); // the sequence does not restart
+    EXPECT_EQ(tracer.newTraceId(), (TraceId{5} << 32) | 4u);
+
+    // A root span draws from the tracer it records into.
+    sim::VirtualClock clock;
+    ScopedSpan root(TraceContext(tracer, clock), "root");
+    EXPECT_EQ(root.context().traceId(), (TraceId{5} << 32) | 5u);
+}
+
+/** Chrome export of one traced cold boot on a fresh machine. */
+std::string
+tracedColdBootExport()
+{
+    Machine machine(42);
+    FunctionRegistry registry(machine);
+    core::CatalyzerRuntime runtime(machine);
+    FunctionArtifacts &fn =
+        registry.artifactsFor(apps::appByName("python-hello"));
+    runtime.bootCold(fn,
+                     TraceContext(machine.tracer(), machine.ctx().clock()));
+    std::ostringstream os;
+    exportChromeTrace(machine.tracer(), os);
+    return os.str();
+}
+
+TEST(TraceIdTest, IdsDoNotDependOnProcessHistory)
+{
+    const std::string first = tracedColdBootExport();
+    const std::string second = tracedColdBootExport();
+    EXPECT_NE(first.find("\"trace_id\":\"1\""), std::string::npos);
+    EXPECT_EQ(first, second);
 }
 
 TEST(TraceIdTest, WithTracerRehomesTraceAcrossMachines)
